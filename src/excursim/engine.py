@@ -35,7 +35,7 @@ from .errors import (
     NoHitError,
     ReplicateFailureError,
 )
-from .field import BoxDomain, FieldModel, PowerExponential, _conditional_draw, gaussian_tail
+from .field import BoxDomain, FieldModel, PowerExponential, _conditional_draw, log_gaussian_tail
 from .measure import MeasureContext, measure_context, sample_tau, sample_truncated_tail
 
 __all__ = [
@@ -62,7 +62,13 @@ _FAILURE_FRACTION = 1e-3  # a run aborts if more replicates than this error out
 
 @dataclass
 class Replicate:
-    """One tilted draw and its estimator values."""
+    """One tilted draw and its estimator values.
+
+    ``log_z`` and ``log_y`` are log z_hat and log y_hat (-inf on a miss); they
+    stay finite at levels where z_hat and y_hat underflow to zero.  ``rank``
+    is the numerical rank of the conditional covariance, i.e. the number of
+    normals the draw consumed.
+    """
 
     tau: np.ndarray
     value_at_tau: float
@@ -71,8 +77,10 @@ class Replicate:
     mes: float
     indicator: bool
     z_hat: float
+    log_z: float = -math.inf
     y_hat: float | None = None
-    ridge: float = 0.0
+    log_y: float = -math.inf
+    rank: int = 0
     stream: int = -1
 
 
@@ -129,13 +137,14 @@ def _draw_replicate(model: FieldModel, ctx: MeasureContext, scales: ScaleFactors
     sig_tau = float(model.std_at(tau)[0])
     value = sample_truncated_tail(mu_tau, sig_tau, ctx.gamma, rng)
     draw = sample_design_points(tau, scales.zeta, m, density, model.domain, rng)
-    values, ridge = _conditional_draw(model, tau, value, draw.points, rng)
+    values, rank = _conditional_draw(model, tau, value, draw.points, rng)
     mes = mes_hat(values, ctx.gamma, draw)
     indicator = bool(np.any((values > ctx.b) & draw.inside))
     # indicator implies a design point above b > gamma inside T, hence mes > 0
-    z = math.exp(ctx.log_norm_integral - math.log(mes)) if indicator else 0.0
+    log_z = ctx.log_norm_integral - math.log(mes) if indicator else -math.inf
     return Replicate(tau=tau, value_at_tau=value, draw=draw, field_values=values,
-                     mes=mes, indicator=indicator, z_hat=z, ridge=ridge, stream=stream)
+                     mes=mes, indicator=indicator, z_hat=math.exp(log_z), log_z=log_z,
+                     rank=rank, stream=stream)
 
 
 def run_tail_replicate(model: FieldModel, ctx: MeasureContext, scales: ScaleFactors,
@@ -152,9 +161,8 @@ def run_integral_replicate(model: FieldModel, ctx: MeasureContext, scales: Scale
     xi = integrand(rep.draw.points)
     a_hat = alpha_hat(xi, rep.field_values, ctx.b, rep.draw, integrand.bounds)
     if a_hat > 0.0:
-        rep.y_hat = math.exp(ctx.log_norm_integral + math.log(a_hat) - math.log(rep.mes))
-    else:
-        rep.y_hat = 0.0
+        rep.log_y = ctx.log_norm_integral + math.log(a_hat) - math.log(rep.mes)
+    rep.y_hat = math.exp(rep.log_y)
     return rep
 
 
@@ -219,6 +227,7 @@ class EstimateReport:
     m: int | None = None
     seed: object = None
     log_estimate: float = -math.inf
+    log_std_err: float = -math.inf
     wall_time_s: float | None = None
     errored: int = 0
     epsilon: float | None = None
@@ -231,9 +240,30 @@ class EstimateReport:
         return self.std_err / self.estimate if self.estimate > 0 else math.inf
 
 
+def _log_mean_and_std_err(log_values: list[float]) -> tuple[float, float]:
+    """log of the sample mean and of its standard error, from log values.
+
+    The values are scaled by the largest before exponentiating, so the
+    result stays finite where the values themselves underflow.
+    """
+    top = max(log_values)
+    if top == -math.inf:
+        return -math.inf, -math.inf
+    n = len(log_values)
+    scaled = [math.exp(v - top) for v in log_values]
+    mean = math.fsum(scaled) / n
+    var = math.fsum((v - mean) ** 2 for v in scaled) / (n - 1)
+    return top + math.log(mean), (top + 0.5 * math.log(var / n) if var > 0 else -math.inf)
+
+
 def aggregate(values, *, target: str = "mean", epsilon: float | None = None,
-              delta: float | None = None, **meta) -> EstimateReport:
+              delta: float | None = None, log_values=None, **meta) -> EstimateReport:
     """Sample mean and standard error over replicate values.
+
+    ``log_values``, the logs of the same values, give ``log_estimate`` and
+    ``log_std_err`` by log-sum-exp, so they stay finite at levels where the
+    values underflow to zero; without them both are the logs of the linear
+    figures.
 
     When (epsilon, delta) are given, also reports the Chebyshev replicate
     count  n_required = Var / (delta * epsilon^2 * mean^2)  needed for
@@ -252,10 +282,15 @@ def aggregate(values, *, target: str = "mean", epsilon: float | None = None,
         if not (0.0 < epsilon and 0.0 < delta < 1.0):
             raise ValueError("need epsilon > 0 and delta in (0, 1)")
         n_required = var / (delta * epsilon ** 2 * mean ** 2) if mean > 0 else math.inf
+    if log_values is None:
+        log_estimate = math.log(mean) if mean > 0 else -math.inf
+        log_std_err = math.log(std_err) if std_err > 0 else -math.inf
+    else:
+        log_estimate, log_std_err = _log_mean_and_std_err([float(v) for v in log_values])
     return EstimateReport(
-        target=target, estimate=mean, std_err=std_err, n=n,
-        log_estimate=math.log(mean) if mean > 0 else -math.inf,
-        epsilon=epsilon, delta=delta, n_required=n_required, **meta)
+        target=target, estimate=mean, std_err=std_err, n=n, log_estimate=log_estimate,
+        log_std_err=log_std_err, epsilon=epsilon, delta=delta, n_required=n_required,
+        **meta)
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +322,8 @@ def estimate_tail(model: FieldModel, b: float, n: int, m: int | None = None, *,
     reps, errored = _run_replicates(
         lambda rng, i: run_tail_replicate(model, ctx, scales, density, m, rng, i),
         n, seed, workers)
-    report = aggregate([r.z_hat for r in reps], target="sup_tail",
-                       epsilon=epsilon, delta=delta,
+    report = aggregate([r.z_hat for r in reps], log_values=[r.log_z for r in reps],
+                       target="sup_tail", epsilon=epsilon, delta=delta,
                        b=float(b), m=m, seed=seed, errored=errored)
     report.wall_time_s = time.perf_counter() - start
     return report
@@ -317,11 +352,11 @@ def estimate_tail_and_excursion(model: FieldModel, b: float, n: int,
                                               integrand, rng, i),
         n, seed, workers)
     elapsed = time.perf_counter() - start
-    tail = aggregate([r.z_hat for r in reps], target="sup_tail",
-                     epsilon=epsilon, delta=delta,
+    tail = aggregate([r.z_hat for r in reps], log_values=[r.log_z for r in reps],
+                     target="sup_tail", epsilon=epsilon, delta=delta,
                      b=float(b), m=m, seed=seed, errored=errored)
-    integral = aggregate([r.y_hat for r in reps], target="excursion_integral",
-                         epsilon=epsilon, delta=delta,
+    integral = aggregate([r.y_hat for r in reps], log_values=[r.log_y for r in reps],
+                         target="excursion_integral", epsilon=epsilon, delta=delta,
                          b=float(b), m=m, seed=seed, errored=errored)
     tail.wall_time_s = elapsed
     integral.wall_time_s = elapsed
@@ -384,6 +419,13 @@ def estimate_conditional(model: FieldModel, b: float, n: int,
 # Tail-asymptotics prefactor (Pickands constant)
 # ---------------------------------------------------------------------------
 
+def _log_prefactor_scale(alpha: float, b: float) -> float:
+    """log(b**(2/alpha) * P(Z > b)), finite at levels where P(Z > b) underflows."""
+    if not 0.0 < alpha <= 2.0:
+        raise ConfigurationError("alpha must lie in (0, 2]")
+    return (2.0 / alpha) * math.log(b) + float(log_gaussian_tail(b))
+
+
 def pickands_estimate(alpha: float, b: float, w_hat: float) -> float:
     """Prefactor estimate H = w_hat / (b**(2/alpha) * P(Z > b)).
 
@@ -392,11 +434,13 @@ def pickands_estimate(alpha: float, b: float, w_hat: float) -> float:
     level grows.  At finite b the exact value is the level-b prefactor, not
     H_alpha: for alpha = 2 it is 0.746, 0.718 and 0.698 at b = 6, 7, 8,
     against H_2 = 1/sqrt(pi) ~ 0.564, so estimates at different levels are
-    not expected to agree.
+    not expected to agree.  The denominator is formed in log space, so the
+    estimate stays finite at levels where P(Z > b) underflows.
     """
-    if not 0.0 < alpha <= 2.0:
-        raise ConfigurationError("alpha must lie in (0, 2]")
-    return w_hat / (b ** (2.0 / alpha) * float(gaussian_tail(b)))
+    log_scale = _log_prefactor_scale(alpha, b)
+    if w_hat < 0.0:
+        raise ValueError("w_hat must be non-negative")
+    return math.exp(math.log(w_hat) - log_scale) if w_hat > 0.0 else 0.0
 
 
 def estimate_pickands(alpha: float, b: float, n: int, m: int = 20, *,
@@ -408,15 +452,15 @@ def estimate_pickands(alpha: float, b: float, n: int, m: int = 20, *,
     The estimate targets the level-b prefactor w(b) / (b**(2/alpha) P(Z > b)),
     which tends to the Pickands constant H_alpha only as b grows (see
     ``pickands_estimate``): for alpha = 2 it is 0.746, 0.718 and 0.698 at
-    b = 6, 7, 8, against H_2 ~ 0.564.
+    b = 6, 7, 8, against H_2 ~ 0.564.  Estimate and standard error come from
+    the report's log figures, so they stay finite where w(b) underflows.
     """
-    if not 0.0 < alpha <= 2.0:
-        raise ConfigurationError("alpha must lie in (0, 2]")
+    log_scale = _log_prefactor_scale(alpha, b)
     model = FieldModel(BoxDomain([0.0], [1.0]), PowerExponential(alpha, 1.0))
     report = estimate_tail(model, b, n, m, density=density, seed=seed, workers=workers)
-    denom = b ** (2.0 / alpha) * float(gaussian_tail(b))
     report.target = "pickands_constant"
-    report.estimate = report.estimate / denom
-    report.std_err = report.std_err / denom
-    report.log_estimate = math.log(report.estimate) if report.estimate > 0 else -math.inf
+    report.log_estimate -= log_scale
+    report.log_std_err -= log_scale
+    report.estimate = math.exp(report.log_estimate)
+    report.std_err = math.exp(report.log_std_err)
     return report

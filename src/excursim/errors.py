@@ -10,7 +10,11 @@ class ModelEvaluationError(ExcursimError):
 
 
 class SingularModelError(ExcursimError):
-    """A covariance matrix could not be factored even at the maximum ridge."""
+    """A covariance matrix is indefinite beyond rounding, so it has no real factor.
+
+    Raised when, after the pivoted Cholesky stops at the numerical rank, some
+    residual diagonal is below -1e-6 * trace/n.
+    """
 
 
 class InvalidLevelError(ExcursimError):

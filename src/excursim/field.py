@@ -2,9 +2,10 @@
 
 A :class:`FieldModel` bundles a box domain, mean and standard-deviation
 functions, a correlation kernel, and the local regularity parameters of the
-kernel.  All sampling is exact (Cholesky-based) at finite point sets, with a
-ridge-escalation fallback for nearly singular configurations, and the Gaussian
-tail arithmetic is done through the complementary error function so that
+kernel.  All sampling is exact at finite point sets: each covariance is
+factored once, by Cholesky when it is positive definite and otherwise by a
+pivoted Cholesky that returns its numerical rank, and the Gaussian tail
+arithmetic is done through the complementary error function so that
 levels around ``b = 8`` (tail mass ~1e-16) keep full relative accuracy.
 """
 
@@ -13,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf, dpstrf
+from scipy.spatial.distance import cdist
 from scipy.special import log_ndtr, ndtr
 
 from .errors import ModelEvaluationError, SingularModelError
@@ -175,8 +178,7 @@ class RegularityParams:
 # ---------------------------------------------------------------------------
 
 def _pairwise_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    diff = a[:, None, :] - b[None, :, :]
-    return np.sqrt(np.sum(diff * diff, axis=-1))
+    return cdist(a, b)
 
 
 class PowerExponential:
@@ -380,55 +382,56 @@ def cov_matrix(model: FieldModel, points) -> np.ndarray:
     return 0.5 * (cov + cov.T)
 
 
-# Relative ridge ladder: exact factorization first, then escalate until the
-# matrix is numerically positive definite.  Values are multiples of trace/n.
-_RIDGE_LADDER = (0.0,) + tuple(1e-12 * 2.0 ** k for k in range(20)) + (1e-6,)
+# A residual diagonal below -_INDEFINITE_TOL * trace/n marks a matrix that is
+# indefinite beyond rounding.
+_INDEFINITE_TOL = 1e-6
 
 
 def factor_psd(matrix) -> tuple[np.ndarray, float]:
-    """Lower-triangular L with L @ L.T = matrix + ridge * I; returns (L, ridge).
+    """Factor F of shape (n, r) with F @ F.T = matrix; returns (F, 0.0).
 
-    The ridge is the smallest rung of a fixed relative ladder (0, then
-    1e-12 * trace/n doubling up to 1e-6 * trace/n) at which the Cholesky
-    factorization succeeds.  Exhausting the ladder raises
-    :class:`SingularModelError`, which signals a genuinely indefinite (or
-    degenerate beyond repair) point configuration.
+    A positive definite matrix gets its lower Cholesky factor (r = n).  When
+    that fails, LAPACK's pivoted Cholesky stops at the numerical rank r (its
+    default tolerance n * eps * max diagonal), and the rows of its factor are
+    put back in the original order.  Rows whose covariance is exactly zero
+    are never pivoted, so their factor rows are exactly zero.  The second
+    return value, the ridge added to the diagonal, is always 0.0; it is kept
+    for callers that unpack (factor, ridge).
+
+    A residual diagonal below -1e-6 * trace/n raises
+    :class:`SingularModelError`: the matrix is indefinite beyond rounding.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix must have finite entries")
-    n = a.shape[0]
-    if not a.any():
-        return np.zeros_like(a), 0.0
-    base = float(np.trace(a)) / n
-    eye = np.eye(n)
-    for rel in _RIDGE_LADDER:
-        ridge = rel * base
-        try:
-            return np.linalg.cholesky(a + ridge * eye), ridge
-        except np.linalg.LinAlgError:
-            continue
-    raise SingularModelError(
-        f"covariance factorization failed for n={n} even at ridge {_RIDGE_LADDER[-1] * base:.3e}")
+    lower, info = dpotrf(a, lower=1)
+    if info == 0:
+        return lower, 0.0
+    pivoted, piv, rank, _ = dpstrf(a, lower=1)
+    factor = np.empty((a.shape[0], rank))
+    factor[piv - 1] = np.tril(pivoted[:, :rank])
+    residual = np.diag(a) - np.einsum("ij,ij->i", factor, factor)
+    floor = -_INDEFINITE_TOL * float(np.trace(a)) / a.shape[0]
+    if residual.min() < floor:
+        raise SingularModelError(
+            f"covariance of size n={a.shape[0]} is indefinite: residual diagonal "
+            f"{residual.min():.3e} after rank {rank} is below {floor:.3e}")
+    return factor, 0.0
 
 
 def sample_joint(model: FieldModel, points, rng) -> np.ndarray:
     """One exact draw of (f(t_1), ..., f(t_n)) under the model law."""
     pts = as_points(points, model.dimension)
     mean = model.mean_at(pts)
-    lower, _ = factor_psd(cov_matrix(model, pts))
-    return mean + lower @ rng.standard_normal(pts.shape[0])
+    factor, _ = factor_psd(cov_matrix(model, pts))
+    return mean + factor @ rng.standard_normal(factor.shape[1])
 
 
 # ---------------------------------------------------------------------------
 # Conditioning on a single observation
 # ---------------------------------------------------------------------------
-
-def _tau_mask(pts: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    return np.all(pts == tau, axis=1)
-
 
 def conditional_moments(model: FieldModel, tau, value_at_tau: float, points):
     """Mean and covariance of the field at ``points`` given f(tau) = value.
@@ -439,17 +442,22 @@ def conditional_moments(model: FieldModel, tau, value_at_tau: float, points):
     Rows for points exactly equal to tau are pinned: mean = value, cov = 0.
     Returns (mean, cov, tau_mask).
     """
-    tau = as_points(tau, model.dimension)[0]
+    tau = as_points(tau, model.dimension)
     pts = as_points(points, model.dimension)
+    n = pts.shape[0]
+    if n == 0:
+        raise ValueError("need at least one point")
     sig = model.std_at(pts)
     sig_tau = float(model.std_at(tau)[0])
     mu_tau = float(model.mean_at(tau)[0])
-    r_tau = model.corr(pts, tau)[:, 0]
+    # one kernel evaluation: the last column is r(t_i, tau)
+    corr = model.corr(pts, np.concatenate([pts, tau]))
+    r_tau = corr[:, n]
     mean = model.mean_at(pts) + (sig / sig_tau) * r_tau * (value_at_tau - mu_tau)
     proj = sig * r_tau
-    cov = cov_matrix(model, pts) - np.outer(proj, proj)
+    cov = corr[:, :n] * np.outer(sig, sig) - np.outer(proj, proj)
     cov = 0.5 * (cov + cov.T)
-    mask = _tau_mask(pts, tau)
+    mask = np.all(pts == tau, axis=1)
     if mask.any():
         mean[mask] = value_at_tau
         cov[mask, :] = 0.0
@@ -458,16 +466,10 @@ def conditional_moments(model: FieldModel, tau, value_at_tau: float, points):
 
 
 def _conditional_draw(model: FieldModel, tau, value_at_tau: float, points, rng):
-    """Draw from the conditional law; returns (values, ridge_used)."""
-    mean, cov, mask = conditional_moments(model, tau, value_at_tau, points)
-    values = mean.copy()
-    active = ~mask
-    ridge = 0.0
-    if active.any():
-        idx = np.flatnonzero(active)
-        lower, ridge = factor_psd(cov[np.ix_(idx, idx)])
-        values[idx] = mean[idx] + lower @ rng.standard_normal(idx.size)
-    return values, ridge
+    """Draw from the conditional law; returns (values, rank of the covariance)."""
+    mean, cov, _ = conditional_moments(model, tau, value_at_tau, points)
+    factor, _ = factor_psd(cov)
+    return mean + factor @ rng.standard_normal(factor.shape[1]), factor.shape[1]
 
 
 def sample_conditional(model: FieldModel, tau, value_at_tau: float, points, rng) -> np.ndarray:

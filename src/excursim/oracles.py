@@ -67,7 +67,7 @@ def crude_grid_mc(model: FieldModel, b: float, grid_per_axis: int, n: int,
     grids = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=1)
     mean = model.mean_at(pts)
-    lower, _ = factor_psd(cov_matrix(model, pts))
+    factor, _ = factor_psd(cov_matrix(model, pts))
 
     start = time.perf_counter()
     hits = 0
@@ -75,8 +75,8 @@ def crude_grid_mc(model: FieldModel, b: float, grid_per_axis: int, n: int,
     chunk_cap = max(1, _MC_CHUNK * 32 // pts.shape[0])
     while remaining > 0:
         chunk = min(remaining, chunk_cap)
-        z = rng.standard_normal((chunk, pts.shape[0]))
-        vals = mean + z @ lower.T
+        z = rng.standard_normal((chunk, factor.shape[1]))
+        vals = mean + z @ factor.T
         hits += int(np.count_nonzero(vals.max(axis=1) > b))
         remaining -= chunk
     p = hits / n

@@ -70,13 +70,13 @@ class TestReplicates:
         assert b.z_hat == a.z_hat
         assert b.y_hat == pytest.approx(3.0 * a.y_hat, rel=1e-12)
 
-    def test_ridge_recorded(self, cosine_setup):
+    def test_rank_recorded(self, cosine_setup):
         # the cosine kernel is rank two, so conditional covariances of 20
-        # points are rank one and always need a ridge
+        # points are rank one
         s = cosine_setup
         rep = ex.run_tail_replicate(s["model"], s["ctx"], s["scales"], s["density"],
                                     20, np.random.default_rng((9, 0)))
-        assert rep.ridge > 0.0
+        assert rep.rank == 1
 
 
 class TestIntegrandSpec:
@@ -155,6 +155,20 @@ class TestEstimateTail:
         assert (a.estimate, a.std_err) == (b.estimate, b.std_err)
         assert (a.estimate, a.std_err) == (c.estimate, c.std_err)
 
+    def test_level_forty_keeps_a_finite_log_estimate(self):
+        # w(40) ~ 1e-348 underflows to zero; log_estimate is aggregated from
+        # per-replicate log weights and must track the Rice tail of exp(-t^2)
+        model = ex.FieldModel(ex.BoxDomain([0.0], [1.0]), ex.SquaredExponential())
+        b = 40.0
+        report = ex.estimate_tail(model, b, 2000, 40, seed=4040, workers=1)
+        assert report.errored == 0
+        log_rice = float(np.logaddexp(ex.log_gaussian_tail(b),
+                                      0.5 * math.log(2.0) - math.log(2.0 * math.pi)
+                                      - 0.5 * b * b))
+        assert math.isfinite(report.log_estimate)
+        assert abs(report.log_estimate - log_rice) <= 0.1
+        assert report.log_std_err < report.log_estimate
+
 
 class TestEstimateConditional:
     def test_smooth_model_conditional_volume(self, smooth_model):
@@ -225,6 +239,28 @@ class TestPickands:
         w_hat = 1e-13
         expected = w_hat / (64.0 * float(ex.gaussian_tail(8.0)))
         assert ex.pickands_estimate(1.0, 8.0, w_hat) == pytest.approx(expected, rel=1e-12)
+
+    def test_level_forty_stays_finite(self):
+        # P(Z > 40) ~ 3.7e-350 underflows; the denominator goes through logs.
+        # Oracle: the Mills-ratio series for log P(Z > 40).
+        b = 40.0
+        inv2 = 1.0 / (b * b)
+        log_tail = (-0.5 * b * b - math.log(b) - 0.5 * math.log(2.0 * math.pi)
+                    + math.log(1.0 - inv2 + 3.0 * inv2 ** 2 - 15.0 * inv2 ** 3))
+        got = ex.pickands_estimate(2.0, b, 1e-300)
+        assert math.isfinite(got)
+        assert math.log(got) == pytest.approx(math.log(1e-300) - math.log(b) - log_tail,
+                                              rel=1e-12)
+
+    def test_estimator_at_level_forty(self):
+        # exact level-b prefactor from the Rice tail: 1/b + exp(-b^2/2)/(sqrt(2) pi b P(Z > b))
+        b = 40.0
+        report = ex.estimate_pickands(2.0, b, 2000, 40, seed=41)
+        rice = 1.0 / b + math.exp(-0.5 * b * b - float(ex.log_gaussian_tail(b))) / (
+            math.sqrt(2.0) * math.pi * b)
+        assert math.isfinite(report.estimate) and math.isfinite(report.std_err)
+        assert 0.0 < report.std_err < report.estimate
+        assert abs(report.estimate / rice - 1.0) <= 0.1
 
     def test_alpha_out_of_range(self):
         with pytest.raises(ConfigurationError):

@@ -87,6 +87,15 @@ class TestCovMatrix:
             cov = ex.cov_matrix(trend_model, pts)
             assert np.array_equal(cov, cov.T)
 
+    def test_pairwise_dist_matches_difference_tensor(self, rng):
+        # reference: the explicit (n, m, d) difference tensor
+        from excursim.field import _pairwise_dist
+
+        for d in (1, 2, 3):
+            a, b = rng.random((33, d)), rng.random((17, d))
+            diff = a[:, None, :] - b[None, :, :]
+            assert np.array_equal(_pairwise_dist(a, b), np.sqrt(np.sum(diff * diff, axis=-1)))
+
     def test_positive_semidefinite_random_points(self, smooth_model, rng):
         pts = rng.random((40, 2))
         eig = np.linalg.eigvalsh(ex.cov_matrix(smooth_model, pts))
@@ -109,11 +118,32 @@ class TestFactorPsd:
         assert ridge == 0.0
         assert np.array_equal(lower, np.eye(4))
 
-    def test_rank_one_matrix_gets_ridge_and_reconstructs(self):
+    def test_rank_one_matrix_factors_at_rank_one(self):
         a = np.ones((2, 2))
-        lower, ridge = ex.factor_psd(a)
-        assert ridge > 0.0
-        assert np.max(np.abs(lower @ lower.T - a)) < 1e-6
+        factor, ridge = ex.factor_psd(a)
+        assert ridge == 0.0
+        assert factor.shape == (2, 1)
+        assert np.max(np.abs(factor @ factor.T - a)) <= 1e-12
+
+    def test_smooth_conditional_covariance_is_low_rank(self):
+        # sqexp conditioned on one value at m=320: numerically low-rank
+        model = ex.FieldModel(ex.BoxDomain([0.0], [1.0]), ex.SquaredExponential())
+        rng = np.random.default_rng(5)
+        pts = 0.4 + rng.standard_t(3, (320, 1)) / 20.0
+        _, cov, _ = ex.conditional_moments(model, [0.4], 6.0, pts)
+        factor, ridge = ex.factor_psd(cov)
+        assert ridge == 0.0
+        assert factor.shape[0] == 320 and factor.shape[1] < 40
+        err = np.max(np.abs(factor @ factor.T - cov))
+        assert err <= 1e-12 * np.max(np.diag(cov))
+
+    def test_zero_rows_get_zero_factor_rows(self):
+        a = np.zeros((4, 4))
+        a[np.ix_([0, 2, 3], [0, 2, 3])] = [[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]]
+        factor, _ = ex.factor_psd(a)
+        assert factor.shape == (4, 3)
+        assert np.all(factor[1] == 0.0)
+        assert np.max(np.abs(factor @ factor.T - a)) <= 1e-12
 
     def test_indefinite_matrix_raises(self):
         with pytest.raises(SingularModelError):
@@ -190,6 +220,39 @@ class TestConditional:
         mean, cov, _ = ex.conditional_moments(trend_model, tau, v, [t])
         assert mean[0] == pytest.approx(expected, rel=1e-12)
         assert cov[0, 0] == pytest.approx(1.0 - r ** 2, rel=1e-12)
+
+    def test_rank_deficient_draw_consumes_rank_normals(self, cosine_model):
+        # given f(tau) = v the cosine field is v cos(t - tau) + W sin(t - tau)
+        # with one standard normal W, so a draw consumes exactly one normal
+        t = np.array([0.1, 0.2, 0.4, 0.6, 0.7])
+        rng = np.random.default_rng(19)
+        out = ex.sample_conditional(cosine_model, [0.3], 5.0, t[:, None], rng)
+        replay = np.random.default_rng(19)
+        w = replay.standard_normal()
+        assert rng.bit_generator.state == replay.bit_generator.state
+        shift = out - 5.0 * np.cos(t - 0.3)
+        expected = w * np.sin(t - 0.3)
+        assert (np.allclose(shift, expected, rtol=0.0, atol=1e-12)
+                or np.allclose(shift, -expected, rtol=0.0, atol=1e-12))
+
+    def test_rank_deficient_empirical_covariance(self):
+        # sqexp at eight close points given f(tau): covariance of rank < 8
+        model = ex.FieldModel(ex.BoxDomain([0.0], [1.0]), ex.SquaredExponential())
+        tau, value = [0.5], 4.0
+        pts = np.linspace(0.2, 0.8, 8)[:, None]
+        mean, cov, _ = ex.conditional_moments(model, tau, value, pts)
+        factor, _ = ex.factor_psd(cov)
+        assert factor.shape[1] < 8
+        rng = np.random.default_rng(23)
+        n = 20000
+        draws = np.array([ex.sample_conditional(model, tau, value, pts, rng)
+                          for _ in range(n)])
+        sd = np.sqrt(np.diag(cov))
+        assert np.all(np.abs(draws.mean(axis=0) - mean) <= 5.0 * sd / math.sqrt(n))
+        emp = np.cov(draws, rowvar=False)
+        # standard error of a sample covariance: sqrt((c_ii c_jj + c_ij^2) / n)
+        se = np.sqrt((np.outer(np.diag(cov), np.diag(cov)) + cov ** 2) / n)
+        assert np.all(np.abs(emp - cov) <= 5.0 * se)
 
     def test_cosine_conditional_variance_empirical(self, cosine_model):
         rng = np.random.default_rng(17)

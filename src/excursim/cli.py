@@ -20,6 +20,7 @@ import argparse
 import csv
 import hashlib
 import io
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -358,6 +359,11 @@ def run_table(config: ExperimentConfig) -> list[dict]:
             reports = [estimate_tail(model, b, config.n, config.m, eps=config.eps,
                                      density=density, seed=seed_key, workers=workers)]
         for report in reports:
+            if report.estimate == 0.0 and math.isfinite(report.log_estimate):
+                # the CSV carries the linear estimate, which underflows above b~38
+                print(f"warning: b={b:g} {report.target}: est underflows to 0.0; "
+                      f"log10(est) = {report.log_estimate / math.log(10.0):.4f}",
+                      file=sys.stderr)
             rows.append(_row(config, report, _true_value(config, model, report.target, b)))
     return rows
 

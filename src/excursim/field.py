@@ -11,6 +11,7 @@ levels around ``b = 8`` (tail mass ~1e-16) keep full relative accuracy.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,12 +178,16 @@ class RegularityParams:
 # Correlation kernels
 # ---------------------------------------------------------------------------
 
-def _pairwise_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return cdist(a, b)
+def _pairwise_dist(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
+    return cdist(a, b, out=out)
 
 
 class PowerExponential:
-    """Stationary correlation r(s, t) = exp(-(|s - t| / ell)**shape)."""
+    """Stationary correlation r(s, t) = exp(-(|s - t| / ell)**shape).
+
+    Every step after the distances runs in place, so with ``out`` given the
+    kernel writes into it and allocates no (n, m) array.
+    """
 
     def __init__(self, shape: float, ell: float = 1.0):
         if not 0.0 < shape <= 2.0:
@@ -192,13 +197,15 @@ class PowerExponential:
         self.shape = float(shape)
         self.ell = float(ell)
 
-    def __call__(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        h = _pairwise_dist(a, b) / self.ell
+    def __call__(self, a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
+        h = _pairwise_dist(a, b, out=out)
+        h /= self.ell
         if self.shape == 2.0:
-            return np.exp(-(h * h))
-        if self.shape == 1.0:
-            return np.exp(-h)
-        return np.exp(-np.power(h, self.shape))
+            np.multiply(h, h, out=h)
+        elif self.shape != 1.0:
+            np.power(h, self.shape, out=h)
+        np.negative(h, out=h)
+        return np.exp(h, out=h)
 
     @property
     def regularity(self) -> RegularityParams:
@@ -244,8 +251,9 @@ class CosineProcess:
 
     dimension = 1
 
-    def __call__(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.cos(a[:, 0][:, None] - b[:, 0][None, :])
+    def __call__(self, a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
+        h = np.subtract.outer(a[:, 0], b[:, 0], out=out)
+        return np.cos(h, out=h)
 
     @property
     def regularity(self) -> RegularityParams:
@@ -295,6 +303,13 @@ class FieldModel:
     (n,) array.  Model functions must be total on R^d: design points may fall
     outside the domain and their field values are still drawn jointly (their
     excursion indicators are zeroed downstream).
+
+    ``kernel(a, b, out=None)`` maps (n, d) and (k, d) point arrays to the
+    (n, k) correlation matrix.  When ``out`` is given (a C-contiguous float
+    array of that shape) the kernel writes the matrix into it and returns it;
+    the conditional sampler passes a buffer it reuses across draws.  The
+    conditional covariance is not symmetrized: its factorization reads only
+    the lower triangle, and the built-in kernels are exactly symmetric.
 
     Instances are immutable after construction and safe to share across
     concurrently running replicate workers; all sampling goes through explicit
@@ -349,10 +364,10 @@ class FieldModel:
             raise ModelEvaluationError("std function returned a non-positive value")
         return vals
 
-    def corr(self, a, b) -> np.ndarray:
+    def corr(self, a, b, out=None) -> np.ndarray:
         pa = as_points(a, self.dimension)
         pb = as_points(b, self.dimension)
-        vals = np.asarray(self.kernel(pa, pb), dtype=float)
+        vals = np.asarray(self.kernel(pa, pb, out=out), dtype=float)
         _check_finite(vals, "correlation")
         return vals
 
@@ -382,12 +397,12 @@ def cov_matrix(model: FieldModel, points) -> np.ndarray:
     return 0.5 * (cov + cov.T)
 
 
-# A residual diagonal below -_INDEFINITE_TOL * trace/n marks a matrix that is
+# A residual beyond _INDEFINITE_TOL * trace/n marks a matrix that is
 # indefinite beyond rounding.
 _INDEFINITE_TOL = 1e-6
 
 
-def factor_psd(matrix) -> tuple[np.ndarray, float]:
+def factor_psd(matrix, work=None) -> tuple[np.ndarray, float]:
     """Factor F of shape (n, r) with F @ F.T = matrix; returns (F, 0.0).
 
     A positive definite matrix gets its lower Cholesky factor (r = n).  When
@@ -396,28 +411,52 @@ def factor_psd(matrix) -> tuple[np.ndarray, float]:
     put back in the original order.  Rows whose covariance is exactly zero
     are never pivoted, so their factor rows are exactly zero.  The second
     return value, the ridge added to the diagonal, is always 0.0; it is kept
-    for callers that unpack (factor, ridge).
+    for callers that unpack (factor, ridge).  LAPACK reads only the lower
+    triangle of ``matrix``.
 
-    A residual diagonal below -1e-6 * trace/n raises
-    :class:`SingularModelError`: the matrix is indefinite beyond rounding.
+    ``matrix`` is never modified.  It is copied into ``work``, an (n, n)
+    Fortran-ordered float buffer (allocated when None), and factored there in
+    place; the returned factor may alias ``work``, so it is valid only until
+    ``work`` is reused.
+
+    :class:`SingularModelError` is raised when the matrix is indefinite
+    beyond rounding: after the pivoted factorization, a residual diagonal
+    below -1e-6 * trace/n, or a residual row sum that no positive
+    semidefinite residual could have, by more than 1e-6 * trace/n.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix must have finite entries")
-    lower, info = dpotrf(a, lower=1)
+    n = a.shape[0]
+    if work is None:
+        work = np.empty((n, n), order="F")
+    work[...] = a
+    lower, info = dpotrf(work, lower=1, overwrite_a=1)
     if info == 0:
         return lower, 0.0
-    pivoted, piv, rank, _ = dpstrf(a, lower=1)
-    factor = np.empty((a.shape[0], rank))
+    work[...] = a
+    pivoted, piv, rank, _ = dpstrf(work, lower=1, overwrite_a=1)
+    factor = np.empty((n, rank))
     factor[piv - 1] = np.tril(pivoted[:, :rank])
+    tol = _INDEFINITE_TOL * float(np.trace(a)) / n
     residual = np.diag(a) - np.einsum("ij,ij->i", factor, factor)
-    floor = -_INDEFINITE_TOL * float(np.trace(a)) / a.shape[0]
-    if residual.min() < floor:
+    if residual.min() < -tol:
         raise SingularModelError(
-            f"covariance of size n={a.shape[0]} is indefinite: residual diagonal "
-            f"{residual.min():.3e} after rank {rank} is below {floor:.3e}")
+            f"covariance of size n={n} is indefinite: residual diagonal "
+            f"{residual.min():.3e} after rank {rank} is below {-tol:.3e}")
+    # A PSD residual R = A - F F^T has |(R 1)_i| <= sqrt(R_ii) * sum_j sqrt(R_jj)
+    # (Cauchy-Schwarz); one matrix-vector product catches the off-diagonal
+    # mass the diagonal test cannot see.
+    root = np.sqrt(np.maximum(residual, 0.0))
+    row_sums = a @ np.ones(n) - factor @ factor.sum(axis=0)
+    excess = float(np.max(np.abs(row_sums) - root * root.sum()))
+    if excess > tol:
+        raise SingularModelError(
+            f"covariance of size n={n} is indefinite: a residual row sum after "
+            f"rank {rank} exceeds its positive semidefinite bound by {excess:.3e} "
+            f"> {tol:.3e}")
     return factor, 0.0
 
 
@@ -433,14 +472,16 @@ def sample_joint(model: FieldModel, points, rng) -> np.ndarray:
 # Conditioning on a single observation
 # ---------------------------------------------------------------------------
 
-def conditional_moments(model: FieldModel, tau, value_at_tau: float, points):
+def conditional_moments(model: FieldModel, tau, value_at_tau: float, points, out=None):
     """Mean and covariance of the field at ``points`` given f(tau) = value.
 
     mean_i = mu(t_i) + (sigma(t_i)/sigma(tau)) r(t_i, tau) (v - mu(tau))
     cov_ij = sigma(t_i) sigma(t_j) (r(t_i, t_j) - r(t_i, tau) r(t_j, tau))
 
     Rows for points exactly equal to tau are pinned: mean = value, cov = 0.
-    Returns (mean, cov, tau_mask).
+    Returns (mean, cov, tau_mask).  The covariance is assembled in place in
+    ``out``, an (n, n + 1) C-ordered float buffer (allocated when None), and
+    ``cov`` is its view ``out[:, :n]``.
     """
     tau = as_points(tau, model.dimension)
     pts = as_points(points, model.dimension)
@@ -451,12 +492,16 @@ def conditional_moments(model: FieldModel, tau, value_at_tau: float, points):
     sig_tau = float(model.std_at(tau)[0])
     mu_tau = float(model.mean_at(tau)[0])
     # one kernel evaluation: the last column is r(t_i, tau)
-    corr = model.corr(pts, np.concatenate([pts, tau]))
+    corr = model.corr(pts, np.concatenate([pts, tau]), out=out)
     r_tau = corr[:, n]
     mean = model.mean_at(pts) + (sig / sig_tau) * r_tau * (value_at_tau - mu_tau)
     proj = sig * r_tau
-    cov = corr[:, :n] * np.outer(sig, sig) - np.outer(proj, proj)
-    cov = 0.5 * (cov + cov.T)
+    cov = corr[:, :n]
+    if model.constant_std is None:
+        cov *= np.outer(sig, sig)
+    elif model.constant_std != 1.0:
+        cov *= model.constant_std * model.constant_std
+    cov -= np.outer(proj, proj)
     mask = np.all(pts == tau, axis=1)
     if mask.any():
         mean[mask] = value_at_tau
@@ -465,10 +510,26 @@ def conditional_moments(model: FieldModel, tau, value_at_tau: float, points):
     return mean, cov, mask
 
 
+# Per-thread assembly and factor buffers of _conditional_draw, replaced when
+# the number of points changes; workers never share one.
+_draw_buffers = threading.local()
+
+
 def _conditional_draw(model: FieldModel, tau, value_at_tau: float, points, rng):
-    """Draw from the conditional law; returns (values, rank of the covariance)."""
-    mean, cov, _ = conditional_moments(model, tau, value_at_tau, points)
-    factor, _ = factor_psd(cov)
+    """Draw from the conditional law; returns (values, rank of the covariance).
+
+    The covariance is built and factored in two buffers kept across draws on
+    the calling thread, so steady-state draws allocate no (n, n) array for
+    them.
+    """
+    pts = as_points(points, model.dimension)
+    n = pts.shape[0]
+    buffers = getattr(_draw_buffers, "pair", None)
+    if buffers is None or buffers[1].shape[0] != n:
+        buffers = _draw_buffers.pair = (np.empty((n, n + 1)), np.empty((n, n), order="F"))
+    assembly, work = buffers
+    mean, cov, _ = conditional_moments(model, tau, value_at_tau, pts, out=assembly)
+    factor, _ = factor_psd(cov, work)
     return mean + factor @ rng.standard_normal(factor.shape[1]), factor.shape[1]
 
 

@@ -105,22 +105,25 @@ def test_criterion_4_constant_cost_per_replicate():
     model = spec["model"]()
     density = ex.DesignDensity(2, spec["dof"], spec["scale"])
 
-    def replicate_seconds(b: float) -> float:
-        ctx = ex.measure_context(model, b)
-        scales = ex.cluster_scale(model, b)
+    levels = {b: (ex.measure_context(model, b), ex.cluster_scale(model, b)) for b in (3.0, 8.0)}
+
+    def replicate_seconds(attempt: int) -> dict:
+        # the levels alternate replicate by replicate, so a slow spell of the
+        # machine reaches both levels alike
         n = 300
-        best = math.inf
-        for attempt in range(3):
-            start = time.perf_counter()
-            for i in range(n):
+        total = dict.fromkeys(levels, 0.0)
+        for i in range(n):
+            for b, (ctx, scales) in levels.items():
+                start = time.perf_counter()
                 rng = np.random.default_rng((555, attempt, i))
                 ex.run_tail_replicate(model, ctx, scales, density, spec["m"], rng)
-            best = min(best, (time.perf_counter() - start) / n)
-        return best
+                total[b] += time.perf_counter() - start
+        return {b: t / n for b, t in total.items()}
 
-    replicate_seconds(3.0)  # warm-up
-    low = replicate_seconds(3.0)
-    high = replicate_seconds(8.0)
+    replicate_seconds(0)  # warm-up
+    attempts = [replicate_seconds(attempt) for attempt in range(3)]
+    best = {b: min(a[b] for a in attempts) for b in levels}
+    low, high = best[3.0], best[8.0]
     ratio = high / low
     _report(4, ratio <= 1.5,
             f"per-replicate cost b=8 vs b=3: {high * 1e6:.0f}us / {low * 1e6:.0f}us "

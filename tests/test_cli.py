@@ -219,10 +219,11 @@ class TestWorkersDefault:
 
 class TestEstimateCommand:
     def test_custom_cosine_run(self, capsys):
-        code, out = run_cli(["estimate", "--kernel", "cosine", "--domain", "0,0.75",
-                             "--b", "3", "--n", "50", "--m", "10"], capsys)
-        assert code == 0
-        row = parse_csv(out)[0]
+        code = main(["estimate", "--kernel", "cosine", "--domain", "0,0.75",
+                     "--b", "3", "--n", "50", "--m", "10"])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        row = parse_csv(captured.out)[0]
         assert row["target"] == "sup_tail"
         assert float(row["est"]) > 0
 
@@ -235,6 +236,18 @@ class TestEstimateCommand:
         rows = parse_csv(out)
         exc = next(r for r in rows if r["target"] == "excursion_integral")
         assert float(exc["true_value"]) == pytest.approx(1.880225e-3, rel=1e-4)
+
+    def test_underflowed_estimate_warns_on_stderr(self, capsys):
+        code = main(["estimate", "--kernel", "sqexp", "--domain", "0,1",
+                     "--b", "40", "--n", "50", "--m", "20"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert float(parse_csv(captured.out)[0]["est"]) == 0.0
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and "b=40 sup_tail" in lines[0]
+        log10_est = float(lines[0].rsplit("=", 1)[1])
+        # log10 of the Rice tail at b=40 (lambda2 = 2, T = 1): about -348.04
+        assert -349.0 < log10_est < -347.0
 
     def test_bad_kernel_exit_code(self, capsys):
         code, _ = run_cli(["estimate", "--kernel", "matern", "--domain", "0,1",

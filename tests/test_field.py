@@ -1,4 +1,7 @@
 import math
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -96,6 +99,16 @@ class TestCovMatrix:
             diff = a[:, None, :] - b[None, :, :]
             assert np.array_equal(_pairwise_dist(a, b), np.sqrt(np.sum(diff * diff, axis=-1)))
 
+    @pytest.mark.parametrize("kernel, d", [(ex.SquaredExponential(0.7), 2),
+                                           (ex.Exponential(4.0), 2),
+                                           (ex.PowerExponential(1.5, 0.5), 3),
+                                           (ex.CosineProcess(), 1)])
+    def test_kernel_writes_into_out(self, kernel, d, rng):
+        a, b = rng.random((7, d)), rng.random((5, d))
+        buf = np.full((7, 5), np.nan)
+        assert kernel(a, b, out=buf) is buf
+        assert np.array_equal(buf, kernel(a, b))
+
     def test_positive_semidefinite_random_points(self, smooth_model, rng):
         pts = rng.random((40, 2))
         eig = np.linalg.eigvalsh(ex.cov_matrix(smooth_model, pts))
@@ -148,6 +161,13 @@ class TestFactorPsd:
     def test_indefinite_matrix_raises(self):
         with pytest.raises(SingularModelError):
             ex.factor_psd(np.diag([1.0, -1.0]))
+
+    def test_indefinite_matrix_with_zero_residual_diagonal_raises(self):
+        # dpstrf stops at rank 1 with a zero residual diagonal, so only the
+        # off-diagonal ones of the residual show that the matrix is indefinite
+        a = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+        with pytest.raises(SingularModelError):
+            ex.factor_psd(a)
 
     def test_zero_matrix_factors_exactly(self):
         lower, ridge = ex.factor_psd(np.zeros((3, 3)))
@@ -253,6 +273,80 @@ class TestConditional:
         # standard error of a sample covariance: sqrt((c_ii c_jj + c_ij^2) / n)
         se = np.sqrt((np.outer(np.diag(cov), np.diag(cov)) + cov ** 2) / n)
         assert np.all(np.abs(emp - cov) <= 5.0 * se)
+
+    @pytest.mark.parametrize("std", [1.0, 2.5, lambda p: 1.0 + 0.5 * p[:, 0]])
+    @pytest.mark.parametrize("kernel, d", [(ex.SquaredExponential(), 1),
+                                           (ex.SquaredExponential(), 2),
+                                           (ex.Exponential(4.0), 2),
+                                           (ex.PowerExponential(1.5), 2),
+                                           (ex.CosineProcess(), 1)])
+    def test_covariance_matches_reference_and_is_symmetric(self, kernel, d, std, rng):
+        # reference: the covariance built from whole products, then symmetrized
+        model = ex.FieldModel(ex.BoxDomain(np.zeros(d), np.ones(d)), kernel, std=std)
+        pts, tau = rng.random((30, d)), rng.random((1, d))
+        _, cov, _ = ex.conditional_moments(model, tau, 4.0, pts)
+        sig = model.std_at(pts)
+        proj = sig * model.corr(pts, tau)[:, 0]
+        ref = model.corr(pts, pts) * np.outer(sig, sig) - np.outer(proj, proj)
+        assert np.array_equal(cov, 0.5 * (ref + ref.T))
+        assert np.array_equal(cov, cov.T)
+
+    @pytest.mark.parametrize("kernel, full_rank", [(ex.Exponential(), True),
+                                                   (ex.SquaredExponential(), False),
+                                                   (ex.CosineProcess(), False)])
+    def test_buffers_give_bit_equal_results(self, kernel, full_rank, rng):
+        model = ex.FieldModel(ex.BoxDomain([0.0], [1.0]), kernel)
+        n = 60
+        pts = 0.4 + rng.standard_t(3, (n, 1)) / 20.0
+        mean, cov, mask = ex.conditional_moments(model, [0.4], 5.0, pts)
+        out = np.full((n, n + 1), np.nan)
+        b_mean, b_cov, b_mask = ex.conditional_moments(model, [0.4], 5.0, pts, out=out)
+        assert np.shares_memory(b_cov, out)
+        assert np.array_equal(b_mean, mean) and np.array_equal(b_mask, mask)
+        assert np.array_equal(b_cov, cov)
+
+        before = b_cov.copy()
+        factor, _ = ex.factor_psd(cov)
+        work = np.full((n, n), np.nan, order="F")
+        b_factor, _ = ex.factor_psd(b_cov, work)
+        assert np.array_equal(b_factor, factor)
+        assert np.array_equal(b_cov, before)
+        assert (factor.shape[1] == n) == full_rank
+
+    def test_steady_state_draw_allocates_no_square_matrix(self):
+        from excursim.field import _conditional_draw
+
+        model = ex.FieldModel(ex.BoxDomain([0.0], [1.0]), ex.SquaredExponential())
+        m = 320
+        rng = np.random.default_rng(5)
+        pts = 0.4 + rng.standard_t(3, (m, 1)) / 20.0
+        _conditional_draw(model, [0.4], 6.0, pts, rng)  # allocates the buffers
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _conditional_draw(model, [0.4], 6.0, pts, rng)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * m * m
+
+    def test_threads_keep_their_own_buffers(self, smooth_model):
+        point_sets = [np.random.default_rng(i).random((50, 2)) for i in range(40)]
+
+        def draw(i):
+            return ex.sample_conditional(smooth_model, [0.5, 0.5], 4.0, point_sets[i],
+                                         np.random.default_rng(i))
+
+        serial = [draw(i) for i in range(40)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                futures = [pool.submit(draw, i) for i in range(40)]
+                threaded = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(np.array_equal(a, b) for a, b in zip(serial, threaded))
 
     def test_cosine_conditional_variance_empirical(self, cosine_model):
         rng = np.random.default_rng(17)

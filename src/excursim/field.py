@@ -11,6 +11,7 @@ levels around ``b = 8`` (tail mass ~1e-16) keep full relative accuracy.
 
 from __future__ import annotations
 
+import functools
 import threading
 from dataclasses import dataclass
 
@@ -402,6 +403,14 @@ def cov_matrix(model: FieldModel, points) -> np.ndarray:
 _INDEFINITE_TOL = 1e-6
 
 
+@functools.lru_cache(maxsize=4)
+def _probe(n: int) -> np.ndarray:
+    """Fixed pseudo-random weights in [0.5, 1.5) for the residual probe."""
+    v = np.random.default_rng(0).uniform(0.5, 1.5, n)
+    v.flags.writeable = False
+    return v
+
+
 def factor_psd(matrix, work=None) -> tuple[np.ndarray, float]:
     """Factor F of shape (n, r) with F @ F.T = matrix; returns (F, 0.0).
 
@@ -421,8 +430,11 @@ def factor_psd(matrix, work=None) -> tuple[np.ndarray, float]:
 
     :class:`SingularModelError` is raised when the matrix is indefinite
     beyond rounding: after the pivoted factorization, a residual diagonal
-    below -1e-6 * trace/n, or a residual row sum that no positive
-    semidefinite residual could have, by more than 1e-6 * trace/n.
+    below -1e-6 * trace/n, or a residual R = matrix - F F^T whose product
+    with a fixed pseudo-random vector v exceeds the bound that any positive
+    semidefinite R obeys, by more than 1e-6 * trace/n.  The product is a
+    probe, not a proof: an indefinite R that happens to map v inside the
+    bound (for instance R v = 0) still passes.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -446,15 +458,17 @@ def factor_psd(matrix, work=None) -> tuple[np.ndarray, float]:
         raise SingularModelError(
             f"covariance of size n={n} is indefinite: residual diagonal "
             f"{residual.min():.3e} after rank {rank} is below {-tol:.3e}")
-    # A PSD residual R = A - F F^T has |(R 1)_i| <= sqrt(R_ii) * sum_j sqrt(R_jj)
-    # (Cauchy-Schwarz); one matrix-vector product catches the off-diagonal
-    # mass the diagonal test cannot see.
+    # A PSD residual R = A - F F^T has |(R v)_i| <= sqrt(R_ii) * sum_j sqrt(R_jj) v_j
+    # for v > 0 (Cauchy-Schwarz); one matrix-vector product catches the
+    # off-diagonal mass the diagonal test cannot see.  v is not constant, so a
+    # residual whose rows sum to zero is caught too.
+    v = _probe(n)
     root = np.sqrt(np.maximum(residual, 0.0))
-    row_sums = a @ np.ones(n) - factor @ factor.sum(axis=0)
-    excess = float(np.max(np.abs(row_sums) - root * root.sum()))
+    probed = a @ v - factor @ (v @ factor)
+    excess = float(np.max(np.abs(probed) - root * (root @ v)))
     if excess > tol:
         raise SingularModelError(
-            f"covariance of size n={n} is indefinite: a residual row sum after "
+            f"covariance of size n={n} is indefinite: the residual probe after "
             f"rank {rank} exceeds its positive semidefinite bound by {excess:.3e} "
             f"> {tol:.3e}")
     return factor, 0.0
@@ -497,10 +511,8 @@ def conditional_moments(model: FieldModel, tau, value_at_tau: float, points, out
     mean = model.mean_at(pts) + (sig / sig_tau) * r_tau * (value_at_tau - mu_tau)
     proj = sig * r_tau
     cov = corr[:, :n]
-    if model.constant_std is None:
+    if model.constant_std != 1.0:
         cov *= np.outer(sig, sig)
-    elif model.constant_std != 1.0:
-        cov *= model.constant_std * model.constant_std
     cov -= np.outer(proj, proj)
     mask = np.all(pts == tau, axis=1)
     if mask.any():

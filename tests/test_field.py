@@ -169,6 +169,18 @@ class TestFactorPsd:
         with pytest.raises(SingularModelError):
             ex.factor_psd(a)
 
+    def test_indefinite_matrix_with_zero_residual_row_sums_raises(self):
+        # dpstrf stops at rank 1 with a zero residual diagonal, and every
+        # residual row sums to zero, so a constant probe vector would pass it
+        a = np.array([[1.0, 0.0, 0.0, 0.0, 0.0],
+                      [0.0, 0.0, 1.0, -1.0, 0.0],
+                      [0.0, 1.0, 0.0, 0.0, -1.0],
+                      [0.0, -1.0, 0.0, 0.0, 1.0],
+                      [0.0, 0.0, -1.0, 1.0, 0.0]])
+        assert np.all(a.sum(axis=1) == a[:, 0])
+        with pytest.raises(SingularModelError):
+            ex.factor_psd(a)
+
     def test_zero_matrix_factors_exactly(self):
         lower, ridge = ex.factor_psd(np.zeros((3, 3)))
         assert ridge == 0.0 and not lower.any()

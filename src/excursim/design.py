@@ -26,9 +26,13 @@ __all__ = [
     "choose_m",
     "DesignDensity",
     "DesignDraw",
+    "sample_design_block",
     "sample_design_points",
     "mes_hat",
+    "mes_hat_block",
     "alpha_hat",
+    "alpha_hat_block",
+    "within_bounds",
 ]
 
 
@@ -173,54 +177,95 @@ class DesignDensity:
 
 @dataclass(frozen=True)
 class DesignDraw:
-    """One batch of design points around tau with their recorded densities.
+    """Design points around tau with their recorded densities.
 
-    Points may fall outside the domain; they are retained with ``inside``
-    False so that their excursion indicators vanish while the draw stays
-    exchangeable.
+    A single draw has points (m, d); a block of B draws stacks them along a
+    leading axis, points (B, m, d), and ``draw[i]`` is draw i.  Points may
+    fall outside the domain; they are retained with ``inside`` False so that
+    their excursion indicators vanish while the draw stays exchangeable.
     """
 
-    points: np.ndarray       # (m, d)
-    log_density: np.ndarray  # (m,) log of zeta^d k(zeta (t_i - tau))
-    density: np.ndarray      # (m,)
-    inside: np.ndarray       # (m,) bool
-    tau: np.ndarray          # (d,)
+    points: np.ndarray       # (..., m, d)
+    log_density: np.ndarray  # (..., m) log of zeta^d k(zeta (t_i - tau))
+    density: np.ndarray      # (..., m)
+    inside: np.ndarray       # (..., m) bool
+    tau: np.ndarray          # (..., d)
     zeta: float
 
     @property
     def m(self) -> int:
-        return self.points.shape[0]
+        return self.points.shape[-2]
+
+    def __getitem__(self, i) -> "DesignDraw":
+        return DesignDraw(points=self.points[i], log_density=self.log_density[i],
+                          density=self.density[i], inside=self.inside[i], tau=self.tau[i],
+                          zeta=self.zeta)
 
 
-def sample_design_points(tau, zeta: float, m: int, density: DesignDensity,
-                         domain: BoxDomain, rng) -> DesignDraw:
-    """m i.i.d. points t_i = tau + s_i / zeta with s_i from the base density.
+def sample_design_block(taus, zeta: float, m: int, density: DesignDensity,
+                        domain: BoxDomain, rng) -> DesignDraw:
+    """m i.i.d. points t_ij = tau_i + s_ij / zeta around each row of ``taus``
+    (B, d), with s_ij from the base density; returns a stacked draw.
 
-    Recorded density values are zeta^d k(zeta (t_i - tau)), evaluated on the
-    stored points so the identity holds bit-exactly.
+    The radii of all B * m points are drawn first, then their directions, so
+    a block of one consumes the stream as a single draw does.  Recorded
+    density values are zeta^d k(zeta (t_ij - tau_i)), evaluated on the stored
+    points so the identity holds bit-exactly.
     """
     if m < 1:
         raise ValueError("need at least one design point")
     if zeta <= 0.0:
         raise ValueError("zeta must be positive")
-    tau = as_points(tau, density.dim)[0]
-    raw = density.sample(rng, m)
-    points = tau + raw / zeta
-    log_k = density.dim * math.log(zeta) + density.log_pdf(zeta * (points - tau))
+    taus = np.asarray(taus, dtype=float)
+    size, d = taus.shape
+    raw = density.sample(rng, size * m).reshape(size, m, d)
+    points = taus[:, None, :] + raw / zeta
+    flat = (zeta * (points - taus[:, None, :])).reshape(-1, d)
+    log_k = (d * math.log(zeta) + density.log_pdf(flat)).reshape(size, m)
+    inside = domain.contains(points.reshape(-1, d)).reshape(size, m)
     return DesignDraw(points=points, log_density=log_k, density=np.exp(log_k),
-                      inside=domain.contains(points), tau=tau, zeta=float(zeta))
+                      inside=inside, tau=taus, zeta=float(zeta))
+
+
+def sample_design_points(tau, zeta: float, m: int, density: DesignDensity,
+                         domain: BoxDomain, rng) -> DesignDraw:
+    """m i.i.d. points t_i = tau + s_i / zeta with s_i from the base density:
+    a block of one (see :func:`sample_design_block`)."""
+    tau = as_points(tau, density.dim)[:1]
+    return sample_design_block(tau, zeta, m, density, domain, rng)[0]
+
+
+def _check_aligned(draw: DesignDraw, *arrays):
+    if any(a.shape != draw.inside.shape for a in arrays):
+        raise ValueError("values must align with the design points")
+
+
+def _weighted_hit_mean(weights, values: np.ndarray, level: float,
+                       draw: DesignDraw) -> np.ndarray:
+    """(1/m) sum_i weights_i I(values_i > level, t_i in T) / k_i over the last axis."""
+    hits = (values > level) & draw.inside
+    return np.where(hits, weights * np.exp(-draw.log_density), 0.0).sum(axis=-1) / draw.m
+
+
+def mes_hat_block(values, gamma: float, draw: DesignDraw) -> np.ndarray:
+    """:func:`mes_hat` of each draw of a stacked block; values (B, m)."""
+    values = np.asarray(values, dtype=float)
+    _check_aligned(draw, values)
+    return _weighted_hit_mean(1.0, values, gamma, draw)
+
+
+def alpha_hat_block(xi_values, f_values, b: float, draw: DesignDraw) -> np.ndarray:
+    """:func:`alpha_hat` of each draw of a stacked block, without a bounds check."""
+    xi = np.asarray(xi_values, dtype=float)
+    fv = np.asarray(f_values, dtype=float)
+    _check_aligned(draw, xi, fv)
+    return _weighted_hit_mean(xi, fv, b, draw)
 
 
 def mes_hat(values, gamma: float, draw: DesignDraw) -> float:
     """Unbiased excursion-volume estimate (1/m) sum I(f(t_i) > gamma) / k(t_i),
     restricted to points inside the domain."""
-    values = np.asarray(values, dtype=float)
-    if values.shape[0] != draw.m:
-        raise ValueError("field values must align with the design points")
-    hits = (values > gamma) & draw.inside
-    if not hits.any():
-        return 0.0
-    return float(np.sum(np.exp(-draw.log_density[hits]))) / draw.m
+    return float(mes_hat_block(values, gamma, draw))
 
 
 def alpha_hat(xi_values, f_values, b: float, draw: DesignDraw,
@@ -231,15 +276,13 @@ def alpha_hat(xi_values, f_values, b: float, draw: DesignDraw,
     [a1, a2]; a violation raises :class:`IntegrandBoundsError`.
     """
     xi = np.asarray(xi_values, dtype=float)
-    fv = np.asarray(f_values, dtype=float)
-    if xi.shape[0] != draw.m or fv.shape[0] != draw.m:
-        raise ValueError("integrand and field values must align with the design points")
-    if bounds is not None:
-        a1, a2 = bounds
-        if np.any(xi < a1) or np.any(xi > a2):
-            raise IntegrandBoundsError(
-                f"integrand value outside declared bounds [{a1}, {a2}]")
-    hits = (fv > b) & draw.inside
-    if not hits.any():
-        return 0.0
-    return float(np.sum(xi[hits] * np.exp(-draw.log_density[hits]))) / draw.m
+    if bounds is not None and not within_bounds(xi, bounds):
+        raise IntegrandBoundsError(
+            f"integrand value outside declared bounds [{bounds[0]}, {bounds[1]}]")
+    return float(alpha_hat_block(xi, f_values, b, draw))
+
+
+def within_bounds(xi_values: np.ndarray, bounds: tuple[float, float]) -> np.ndarray:
+    """Whether every integrand value over the last axis lies in [a1, a2]."""
+    a1, a2 = bounds
+    return np.all((xi_values >= a1) & (xi_values <= a2), axis=-1)

@@ -1,11 +1,20 @@
 """End-to-end replicate engine: tilted draws, estimators, aggregation.
 
-One replicate draws tau, the exceeding value f(tau), the design points, and
-the conditional field values, then forms the importance-weighted estimates of
-the tail probability and (optionally) of an integral over the excursion set.
-Replicates own deterministically derived RNG streams keyed by (seed, index),
-so results are independent of worker count, and aggregation uses exact
-compensated summation to stay order-insensitive.
+Replicates are drawn in blocks.  A block of B replicates draws, from one RNG
+stream keyed (seed, block index), all its locations tau, all its exceeding
+values f(tau), one (B, m, d) design draw, and the conditional field values of
+each replicate, then forms the importance-weighted estimates of the tail
+probability and (optionally) of an integral over the excursion set.  B is
+fixed by m alone, through a byte budget for the block's covariance buffer, so
+results are independent of worker count; worker threads take whole blocks.
+A run keeps per-replicate scalars only, as parallel arrays (log z, log y,
+mes, rank, ok), and aggregation uses exact compensated summation to stay
+order-insensitive.
+
+A replicate whose kernel values are not finite, whose covariance is
+indefinite beyond rounding, or whose integrand leaves its declared bounds is
+dropped and counted as errored; the rest of its block is kept.  Any other
+failure, such as one of the tau sampler, drops its whole block.
 """
 
 from __future__ import annotations
@@ -17,15 +26,22 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .design import (
+# sample_design_points, mes_hat and alpha_hat are not called here: replicates
+# use the block routines.  They stay names of this module because the
+# benchmark's tracer (perfbench/tracing.py) wraps them here by name.
+from .design import (  # noqa: F401
     DesignDensity,
     DesignDraw,
     ScaleFactors,
     alpha_hat,
+    alpha_hat_block,
     choose_m,
     cluster_scale,
     mes_hat,
+    mes_hat_block,
+    sample_design_block,
     sample_design_points,
+    within_bounds,
 )
 from .errors import (
     ConfigurationError,
@@ -35,11 +51,19 @@ from .errors import (
     NoHitError,
     ReplicateFailureError,
 )
-from .field import BoxDomain, FieldModel, PowerExponential, _conditional_draw, log_gaussian_tail
+from .field import (
+    BoxDomain,
+    FieldModel,
+    PowerExponential,
+    _conditional_draw_block,
+    log_gaussian_tail,
+)
 from .measure import MeasureContext, measure_context, sample_tau, sample_truncated_tail
 
 __all__ = [
     "Replicate",
+    "ReplicateArrays",
+    "block_size",
     "EstimateReport",
     "IntegrandSpec",
     "run_tail_replicate",
@@ -89,7 +113,8 @@ class IntegrandSpec:
     """Deterministic integrand xi(t) with declared bounds 0 < a1 <= xi <= a2.
 
     Bounds are spot-checked on a coarse domain grid at construction and
-    enforced on every design draw.
+    enforced on every design draw: a replicate whose integrand values leave
+    them is dropped.
     """
 
     func: object
@@ -116,8 +141,7 @@ class IntegrandSpec:
                 for i in range(model.dimension)]
         grids = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([g.ravel() for g in grids], axis=1)
-        vals = self(pts)
-        if np.any(vals < self.lower) or np.any(vals > self.upper):
+        if not within_bounds(self(pts), self.bounds):
             raise IntegrandBoundsError(
                 f"integrand leaves [{self.lower}, {self.upper}] on the domain grid")
         self.domain_checked = True
@@ -130,44 +154,128 @@ class IntegrandSpec:
         return (self.lower, self.upper)
 
 
-def _draw_replicate(model: FieldModel, ctx: MeasureContext, scales: ScaleFactors,
-                    density: DesignDensity, m: int, rng, stream: int):
-    tau = sample_tau(model, ctx, rng)
-    mu_tau = float(model.mean_at(tau)[0])
-    sig_tau = float(model.std_at(tau)[0])
-    value = sample_truncated_tail(mu_tau, sig_tau, ctx.gamma, rng)
-    draw = sample_design_points(tau, scales.zeta, m, density, model.domain, rng)
-    values, rank = _conditional_draw(model, tau, value, draw.points, rng)
-    mes = mes_hat(values, ctx.gamma, draw)
-    indicator = bool(np.any((values > ctx.b) & draw.inside))
-    # indicator implies a design point above b > gamma inside T, hence mes > 0
-    log_z = ctx.log_norm_integral - math.log(mes) if indicator else -math.inf
-    return Replicate(tau=tau, value_at_tau=value, draw=draw, field_values=values,
-                     mes=mes, indicator=indicator, z_hat=math.exp(log_z), log_z=log_z,
-                     rank=rank, stream=stream)
+# Byte budget of one block's (B, m, m + 1) covariance buffer; it sets B.
+_BLOCK_BYTES = 1 << 20
+
+
+def block_size(m: int) -> int:
+    """Replicates per block: about 300 at m = 20, 80 at m = 40, 1 at m = 320."""
+    return max(1, _BLOCK_BYTES // (8 * m * (m + 1)))
+
+
+@dataclass
+class ReplicateArrays:
+    """Per-replicate results as parallel arrays (struct of arrays).
+
+    ``log_z`` and ``log_y`` are log z_hat and log y_hat (-inf on a miss, and
+    ``log_y`` stays -inf when no integral is estimated); ``mes`` is the volume
+    estimate and ``rank`` the numerical rank of the conditional covariance.
+    ``ok`` is False for a dropped replicate, whose other entries mean nothing.
+    """
+
+    log_z: np.ndarray
+    log_y: np.ndarray
+    mes: np.ndarray
+    rank: np.ndarray
+    ok: np.ndarray
+
+    @classmethod
+    def empty(cls, n: int) -> "ReplicateArrays":
+        return cls(log_z=np.full(n, -np.inf), log_y=np.full(n, -np.inf),
+                   mes=np.zeros(n), rank=np.zeros(n, dtype=np.int32),
+                   ok=np.zeros(n, dtype=bool))
+
+    def put(self, lo: int, other: "ReplicateArrays"):
+        hi = lo + other.ok.size
+        for name in ("log_z", "log_y", "mes", "rank", "ok"):
+            getattr(self, name)[lo:hi] = getattr(other, name)
+
+    def kept(self) -> "ReplicateArrays":
+        ok = self.ok
+        return ReplicateArrays(log_z=self.log_z[ok], log_y=self.log_y[ok], mes=self.mes[ok],
+                               rank=self.rank[ok], ok=ok[ok])
+
+
+@dataclass
+class _Block:
+    """One block of replicates: the results the run keeps, the errors of its
+    dropped replicates by row, and the draw itself (for single replicates)."""
+
+    values: ReplicateArrays
+    errors: dict
+    taus: np.ndarray | None = None
+    values_at_tau: np.ndarray | None = None
+    draws: DesignDraw | None = None
+    field_values: np.ndarray | None = None
+    hits: np.ndarray | None = None
+
+    def replicate(self, row: int, stream: int, with_integral: bool) -> Replicate:
+        """Row ``row`` as a :class:`Replicate`; raises its error if it was dropped."""
+        if row in self.errors:
+            raise self.errors[row]
+        v = self.values
+        log_z, log_y = float(v.log_z[row]), float(v.log_y[row])
+        return Replicate(
+            tau=self.taus[row], value_at_tau=float(self.values_at_tau[row]),
+            draw=self.draws[row], field_values=self.field_values[row],
+            mes=float(v.mes[row]), indicator=bool(self.hits[row]), z_hat=math.exp(log_z),
+            log_z=log_z, y_hat=math.exp(log_y) if with_integral else None, log_y=log_y,
+            rank=int(v.rank[row]), stream=stream)
+
+
+def _draw_block(model: FieldModel, ctx: MeasureContext, scales: ScaleFactors,
+                density: DesignDensity, m: int, integrand: IntegrandSpec | None,
+                size: int, rng) -> _Block:
+    """Draw ``size`` replicates from one stream, in this order: the tau
+    locations, the values f(tau), the design points, the field values."""
+    taus = sample_tau(model, ctx, rng, size=size)
+    values_at_tau = sample_truncated_tail(model.mean_at(taus), model.std_at(taus),
+                                          ctx.gamma, rng, size=size)
+    draws = sample_design_block(taus, scales.zeta, m, density, model.domain, rng)
+    field_values, rank, errors = _conditional_draw_block(model, taus, values_at_tau,
+                                                         draws.points, rng)
+    mes = mes_hat_block(field_values, ctx.gamma, draws)
+    # a hit implies a design point above b > gamma inside T, hence mes > 0
+    hits = np.any((field_values > ctx.b) & draws.inside, axis=1)
+    log_z = np.full(size, -np.inf)
+    log_z[hits] = ctx.log_norm_integral - np.log(mes[hits])
+    log_y = np.full(size, -np.inf)
+    if integrand is not None:
+        xi = integrand(draws.points.reshape(-1, model.dimension)).reshape(size, m)
+        for i in np.flatnonzero(~within_bounds(xi, integrand.bounds)):
+            errors.setdefault(int(i), IntegrandBoundsError(
+                f"integrand value outside declared bounds "
+                f"[{integrand.lower}, {integrand.upper}]"))
+        a_hat = alpha_hat_block(xi, field_values, ctx.b, draws)
+        # a_hat > 0 needs a design point above b inside T, so mes > 0 there too
+        positive = a_hat > 0.0
+        log_y[positive] = (ctx.log_norm_integral + np.log(a_hat[positive])
+                           - np.log(mes[positive]))
+    ok = np.ones(size, dtype=bool)
+    ok[list(errors)] = False
+    values = ReplicateArrays(log_z=log_z, log_y=log_y, mes=mes, rank=rank, ok=ok)
+    return _Block(values=values, errors=errors, taus=taus, values_at_tau=values_at_tau,
+                  draws=draws, field_values=field_values, hits=hits)
 
 
 def run_tail_replicate(model: FieldModel, ctx: MeasureContext, scales: ScaleFactors,
                        density: DesignDensity, m: int, rng, stream: int = -1) -> Replicate:
-    """One draw of the tail-probability estimator."""
-    return _draw_replicate(model, ctx, scales, density, m, rng, stream)
+    """One draw of the tail-probability estimator: a block of one."""
+    block = _draw_block(model, ctx, scales, density, m, None, 1, rng)
+    return block.replicate(0, stream, with_integral=False)
 
 
 def run_integral_replicate(model: FieldModel, ctx: MeasureContext, scales: ScaleFactors,
                            density: DesignDensity, m: int, integrand: IntegrandSpec,
                            rng, stream: int = -1) -> Replicate:
-    """One draw carrying both the tail and the excursion-integral estimators."""
-    rep = _draw_replicate(model, ctx, scales, density, m, rng, stream)
-    xi = integrand(rep.draw.points)
-    a_hat = alpha_hat(xi, rep.field_values, ctx.b, rep.draw, integrand.bounds)
-    if a_hat > 0.0:
-        rep.log_y = ctx.log_norm_integral + math.log(a_hat) - math.log(rep.mes)
-    rep.y_hat = math.exp(rep.log_y)
-    return rep
+    """One draw carrying both the tail and the excursion-integral estimators:
+    a block of one."""
+    block = _draw_block(model, ctx, scales, density, m, integrand, 1, rng)
+    return block.replicate(0, stream, with_integral=True)
 
 
 # ---------------------------------------------------------------------------
-# Parallel replicate runner
+# Block runner
 # ---------------------------------------------------------------------------
 
 def _seed_key(seed) -> tuple[int, ...]:
@@ -176,39 +284,49 @@ def _seed_key(seed) -> tuple[int, ...]:
     return (int(seed),)
 
 
-def _run_replicates(replicate_fn, n: int, seed, workers: int | None):
-    """Run n replicates on deterministic per-index streams.
+def _run_blocks(block_fn, n: int, size: int, seed, workers: int | None):
+    """Run n replicates in blocks of ``size`` on deterministic per-block streams.
 
-    Results are stored by replicate index, so the outcome is identical for
-    any worker count.  Per-replicate numerical failures are collected; the
-    run aborts if more than 0.1% of replicates error.
+    ``block_fn(rng, lo, hi)`` draws replicates lo..hi-1 and returns a block.
+    Block k (replicates k*size onward) uses the stream keyed seed + (k,), and
+    results are stored by block index, so the outcome is identical for any
+    worker count.  Returns (kept replicates, errored count); a block that
+    raises counts all its replicates as errored, and the run aborts if more
+    than 0.1% of replicates error.
     """
     key = _seed_key(seed)
-    results: list = [None] * n
-    failures: list = []
+    starts = range(0, n, size)
+    results = ReplicateArrays.empty(n)
+    first_failure: dict = {}  # block index -> (replicate index, error)
 
-    def run_range(lo: int, hi: int):
-        for i in range(lo, hi):
-            rng = np.random.default_rng(key + (i,))
-            try:
-                results[i] = replicate_fn(rng, i)
-            except ExcursimError as exc:
-                failures.append((i, exc))
+    def run_block(k: int):
+        lo = starts[k]
+        hi = min(lo + size, n)
+        rng = np.random.default_rng(key + (k,))
+        try:
+            block = block_fn(rng, lo, hi)
+        except ExcursimError as exc:
+            first_failure[k] = (lo, exc)
+            return
+        results.put(lo, block.values)
+        if block.errors:
+            row = min(block.errors)
+            first_failure[k] = (lo + row, block.errors[row])
 
     workers = max(1, workers or 1)
-    if workers == 1 or n < 2 * workers:
-        run_range(0, n)
+    if workers == 1 or len(starts) < 2:
+        for k in range(len(starts)):
+            run_block(k)
     else:
-        chunk = (n + workers - 1) // workers
-        spans = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda span: run_range(*span), spans))
+        with ThreadPoolExecutor(max_workers=min(workers, len(starts))) as pool:
+            list(pool.map(run_block, range(len(starts))))
 
-    if len(failures) > _FAILURE_FRACTION * n:
-        idx, exc = failures[0]
+    errored = n - int(np.count_nonzero(results.ok))
+    if errored > _FAILURE_FRACTION * n:
+        idx, exc = first_failure[min(first_failure)]
         raise ReplicateFailureError(
-            f"{len(failures)}/{n} replicates failed; first failure at stream {idx}: {exc}")
-    return [r for r in results if r is not None], len(failures)
+            f"{errored}/{n} replicates failed; first failure at replicate {idx}: {exc}")
+    return results.kept(), errored
 
 
 # ---------------------------------------------------------------------------
@@ -240,19 +358,26 @@ class EstimateReport:
         return self.std_err / self.estimate if self.estimate > 0 else math.inf
 
 
-def _log_mean_and_std_err(log_values: list[float]) -> tuple[float, float]:
+def _mean_and_variance(values: np.ndarray) -> tuple[float, float]:
+    """Sample mean and variance by exact (compensated) summation."""
+    n = values.size
+    mean = math.fsum(values) / n
+    deviation = values - mean
+    deviation *= deviation
+    return mean, math.fsum(deviation) / (n - 1)
+
+
+def _log_mean_and_std_err(log_values: np.ndarray) -> tuple[float, float]:
     """log of the sample mean and of its standard error, from log values.
 
     The values are scaled by the largest before exponentiating, so the
     result stays finite where the values themselves underflow.
     """
-    top = max(log_values)
+    top = float(np.max(log_values))
     if top == -math.inf:
         return -math.inf, -math.inf
-    n = len(log_values)
-    scaled = [math.exp(v - top) for v in log_values]
-    mean = math.fsum(scaled) / n
-    var = math.fsum((v - mean) ** 2 for v in scaled) / (n - 1)
+    mean, var = _mean_and_variance(np.exp(log_values - top))
+    n = log_values.size
     return top + math.log(mean), (top + 0.5 * math.log(var / n) if var > 0 else -math.inf)
 
 
@@ -270,12 +395,11 @@ def aggregate(values, *, target: str = "mean", epsilon: float | None = None,
     P(|estimate - truth| < epsilon * truth) > 1 - delta, using the empirical
     variance in place of the unknown true one.
     """
-    vals = [float(v) for v in values]
-    n = len(vals)
+    vals = np.asarray(values, dtype=float)
+    n = vals.size
     if n < 2:
         raise InsufficientReplicatesError("need at least two replicate values")
-    mean = math.fsum(vals) / n
-    var = math.fsum((v - mean) ** 2 for v in vals) / (n - 1)
+    mean, var = _mean_and_variance(vals)
     std_err = math.sqrt(var / n)
     n_required = None
     if epsilon is not None and delta is not None:
@@ -286,7 +410,7 @@ def aggregate(values, *, target: str = "mean", epsilon: float | None = None,
         log_estimate = math.log(mean) if mean > 0 else -math.inf
         log_std_err = math.log(std_err) if std_err > 0 else -math.inf
     else:
-        log_estimate, log_std_err = _log_mean_and_std_err([float(v) for v in log_values])
+        log_estimate, log_std_err = _log_mean_and_std_err(np.asarray(log_values, dtype=float))
     return EstimateReport(
         target=target, estimate=mean, std_err=std_err, n=n, log_estimate=log_estimate,
         log_std_err=log_std_err, epsilon=epsilon, delta=delta, n_required=n_required,
@@ -297,17 +421,28 @@ def aggregate(values, *, target: str = "mean", epsilon: float | None = None,
 # Top-level drivers
 # ---------------------------------------------------------------------------
 
-def _prepare(model: FieldModel, b: float, m: int | None, eps: float | None,
-             lam: float, density: DesignDensity | None, tau_sampler: str):
+def _simulate(model: FieldModel, b: float, n: int, m: int | None, eps: float | None,
+              lam: float, density: DesignDensity | None, seed, workers: int | None,
+              tau_sampler: str, integrand: IntegrandSpec | None):
+    """Build the level's context and run n replicates in blocks.
+
+    Returns (m, kept replicates, errored count, start time of the draws).
+    """
     ctx = measure_context(model, b, tau_sampler=tau_sampler)
     scales = cluster_scale(model, b)
     if m is None:
         if eps is None:
             raise ConfigurationError("specify either m or eps")
         m = choose_m(eps, model, lam)
+    m = int(m)
     if density is None:
         density = DesignDensity(model.dimension)
-    return ctx, scales, int(m), density
+    start = time.perf_counter()
+    kept, errored = _run_blocks(
+        lambda rng, lo, hi: _draw_block(model, ctx, scales, density, m, integrand,
+                                        hi - lo, rng),
+        n, block_size(m), seed, workers)
+    return m, kept, errored, start
 
 
 def estimate_tail(model: FieldModel, b: float, n: int, m: int | None = None, *,
@@ -317,14 +452,11 @@ def estimate_tail(model: FieldModel, b: float, n: int, m: int | None = None, *,
                   epsilon: float | None = None, delta: float | None = None,
                   ) -> EstimateReport:
     """Estimate P(sup_T f > b) from n independent tilted replicates."""
-    ctx, scales, m, density = _prepare(model, b, m, eps, lam, density, tau_sampler)
-    start = time.perf_counter()
-    reps, errored = _run_replicates(
-        lambda rng, i: run_tail_replicate(model, ctx, scales, density, m, rng, i),
-        n, seed, workers)
-    report = aggregate([r.z_hat for r in reps], log_values=[r.log_z for r in reps],
-                       target="sup_tail", epsilon=epsilon, delta=delta,
-                       b=float(b), m=m, seed=seed, errored=errored)
+    m, kept, errored, start = _simulate(model, b, n, m, eps, lam, density, seed, workers,
+                                        tau_sampler, None)
+    report = aggregate(np.exp(kept.log_z), log_values=kept.log_z, target="sup_tail",
+                       epsilon=epsilon, delta=delta, b=float(b), m=m, seed=seed,
+                       errored=errored)
     report.wall_time_s = time.perf_counter() - start
     return report
 
@@ -343,24 +475,18 @@ def estimate_tail_and_excursion(model: FieldModel, b: float, n: int,
     the integrand defaults to 1, making the second report an estimate of the
     expected excursion volume E mes({f > b}).
     """
-    ctx, scales, m, density = _prepare(model, b, m, eps, lam, density, tau_sampler)
     if integrand is None:
         integrand = IntegrandSpec.constant(1.0, model)
-    start = time.perf_counter()
-    reps, errored = _run_replicates(
-        lambda rng, i: run_integral_replicate(model, ctx, scales, density, m,
-                                              integrand, rng, i),
-        n, seed, workers)
+    m, kept, errored, start = _simulate(model, b, n, m, eps, lam, density, seed, workers,
+                                        tau_sampler, integrand)
     elapsed = time.perf_counter() - start
-    tail = aggregate([r.z_hat for r in reps], log_values=[r.log_z for r in reps],
-                     target="sup_tail", epsilon=epsilon, delta=delta,
-                     b=float(b), m=m, seed=seed, errored=errored)
-    integral = aggregate([r.y_hat for r in reps], log_values=[r.log_y for r in reps],
-                         target="excursion_integral", epsilon=epsilon, delta=delta,
-                         b=float(b), m=m, seed=seed, errored=errored)
-    tail.wall_time_s = elapsed
-    integral.wall_time_s = elapsed
-    return tail, integral
+    reports = tuple(
+        aggregate(np.exp(logs), log_values=logs, target=target, epsilon=epsilon, delta=delta,
+                  b=float(b), m=m, seed=seed, errored=errored)
+        for target, logs in (("sup_tail", kept.log_z), ("excursion_integral", kept.log_y)))
+    for report in reports:
+        report.wall_time_s = elapsed
+    return reports
 
 
 def estimate_excursion_integral(model: FieldModel, b: float, n: int,
@@ -384,28 +510,22 @@ def estimate_conditional(model: FieldModel, b: float, n: int,
     The same replicates feed numerator and denominator; the standard error
     comes from the delta method applied to the paired values.
     """
-    ctx, scales, m, density = _prepare(model, b, m, eps, lam, density, tau_sampler)
     if integrand is None:
         integrand = IntegrandSpec.constant(1.0, model)
-    start = time.perf_counter()
-    reps, errored = _run_replicates(
-        lambda rng, i: run_integral_replicate(model, ctx, scales, density, m,
-                                              integrand, rng, i),
-        n, seed, workers)
-    n_ok = len(reps)
+    m, kept, errored, start = _simulate(model, b, n, m, eps, lam, density, seed, workers,
+                                        tau_sampler, integrand)
+    n_ok = kept.ok.size
     if n_ok < 2:
         raise InsufficientReplicatesError("need at least two replicate values")
-    ys = [r.y_hat for r in reps]
-    zs = [r.z_hat for r in reps]
+    ys = np.exp(kept.log_y)
+    zs = np.exp(kept.log_z)
     sum_z = math.fsum(zs)
     if sum_z <= 0.0:
         raise NoHitError(f"no replicate hit the excursion event at b={b}; increase n")
     ratio = math.fsum(ys) / sum_z
-    y_bar = math.fsum(ys) / n_ok
-    z_bar = sum_z / n_ok
-    s_yy = math.fsum((y - y_bar) ** 2 for y in ys) / (n_ok - 1)
-    s_zz = math.fsum((z - z_bar) ** 2 for z in zs) / (n_ok - 1)
-    s_yz = math.fsum((y - y_bar) * (z - z_bar) for y, z in zip(ys, zs)) / (n_ok - 1)
+    y_bar, s_yy = _mean_and_variance(ys)
+    z_bar, s_zz = _mean_and_variance(zs)
+    s_yz = math.fsum((ys - y_bar) * (zs - z_bar)) / (n_ok - 1)
     var_ratio = (s_yy - 2.0 * ratio * s_yz + ratio ** 2 * s_zz) / (n_ok * z_bar ** 2)
     report = EstimateReport(
         target="conditional_expectation", estimate=ratio,

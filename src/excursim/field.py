@@ -180,15 +180,32 @@ class RegularityParams:
 # ---------------------------------------------------------------------------
 
 def _pairwise_dist(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
-    return cdist(a, b, out=out)
+    """Euclidean distances between the rows of ``a`` and ``b``.
+
+    Stacked inputs (B, n, d) and (B, k, d) give (B, n, k), pairing the sets
+    along the leading axis; the squares are summed axis by axis in cdist's
+    order, so each matrix is bit-equal to cdist of its pair.
+    """
+    if a.ndim == 2:
+        return cdist(a, b, out=out)
+    h = np.subtract(a[..., :, None, 0], b[..., None, :, 0], out=out)
+    np.multiply(h, h, out=h)
+    for axis in range(1, a.shape[-1]):
+        step = np.subtract(a[..., :, None, axis], b[..., None, :, axis])
+        np.multiply(step, step, out=step)
+        h += step
+    return np.sqrt(h, out=h)
 
 
 class PowerExponential:
     """Stationary correlation r(s, t) = exp(-(|s - t| / ell)**shape).
 
     Every step after the distances runs in place, so with ``out`` given the
-    kernel writes into it and allocates no (n, m) array.
+    kernel writes into it and allocates no (n, m) array.  Accepts stacked
+    point sets (see ``FieldModel``).
     """
+
+    stacked = True
 
     def __init__(self, shape: float, ell: float = 1.0):
         if not 0.0 < shape <= 2.0:
@@ -200,7 +217,8 @@ class PowerExponential:
 
     def __call__(self, a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
         h = _pairwise_dist(a, b, out=out)
-        h /= self.ell
+        if self.ell != 1.0:
+            h /= self.ell
         if self.shape == 2.0:
             np.multiply(h, h, out=h)
         elif self.shape != 1.0:
@@ -251,9 +269,10 @@ class CosineProcess:
     """
 
     dimension = 1
+    stacked = True
 
     def __call__(self, a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
-        h = np.subtract.outer(a[:, 0], b[:, 0], out=out)
+        h = np.subtract(a[..., :, None, 0], b[..., None, :, 0], out=out)
         return np.cos(h, out=h)
 
     @property
@@ -310,7 +329,10 @@ class FieldModel:
     array of that shape) the kernel writes the matrix into it and returns it;
     the conditional sampler passes a buffer it reuses across draws.  The
     conditional covariance is not symmetrized: its factorization reads only
-    the lower triangle, and the built-in kernels are exactly symmetric.
+    the lower triangle, and the built-in kernels are exactly symmetric.  A
+    kernel whose ``stacked`` attribute is true also maps stacked point sets
+    (B, n, d) and (B, k, d) to the (B, n, k) matrices of each pair in one
+    call; any other kernel is called once per pair.
 
     Instances are immutable after construction and safe to share across
     concurrently running replicate workers; all sampling goes through explicit
@@ -450,28 +472,52 @@ def factor_psd(matrix, work=None) -> tuple[np.ndarray, float]:
         return lower, 0.0
     work[...] = a
     pivoted, piv, rank, _ = dpstrf(work, lower=1, overwrite_a=1)
+    lower = np.tril(pivoted[:, :rank])
+    errors = _residual_errors(a[None], lower.T[None], piv[None] - 1, [rank])
+    if errors:
+        raise SingularModelError(errors[0])
     factor = np.empty((n, rank))
-    factor[piv - 1] = np.tril(pivoted[:, :rank])
-    tol = _INDEFINITE_TOL * float(np.trace(a)) / n
-    residual = np.diag(a) - np.einsum("ij,ij->i", factor, factor)
-    if residual.min() < -tol:
-        raise SingularModelError(
-            f"covariance of size n={n} is indefinite: residual diagonal "
-            f"{residual.min():.3e} after rank {rank} is below {-tol:.3e}")
-    # A PSD residual R = A - F F^T has |(R v)_i| <= sqrt(R_ii) * sum_j sqrt(R_jj) v_j
-    # for v > 0 (Cauchy-Schwarz); one matrix-vector product catches the
-    # off-diagonal mass the diagonal test cannot see.  v is not constant, so a
-    # residual whose rows sum to zero is caught too.
-    v = _probe(n)
-    root = np.sqrt(np.maximum(residual, 0.0))
-    probed = a @ v - factor @ (v @ factor)
-    excess = float(np.max(np.abs(probed) - root * (root @ v)))
-    if excess > tol:
-        raise SingularModelError(
-            f"covariance of size n={n} is indefinite: the residual probe after "
-            f"rank {rank} exceeds its positive semidefinite bound by {excess:.3e} "
-            f"> {tol:.3e}")
+    factor[piv - 1] = lower
     return factor, 0.0
+
+
+def _residual_errors(a: np.ndarray, lt: np.ndarray, piv: np.ndarray, ranks) -> dict:
+    """Indefiniteness test of pivoted Cholesky factorizations; maps the index
+    of each matrix that fails it to a message.
+
+    ``a`` holds k matrices (k, n, n); ``lt[i]`` (c, n) is the transposed
+    factor of matrix i with rows in pivot order (columns past the rank zero,
+    any c >= rank); ``piv`` (k, n) holds the 0-based pivots.  A matrix fails
+    when a residual diagonal of R = A - F F^T is below -tol, or when R v for
+    the fixed probe v exceeds the bound that any positive semidefinite R obeys
+    by more than tol, with tol = _INDEFINITE_TOL * trace/n.
+    """
+    k, n, _ = a.shape
+    rows = np.arange(k)[:, None]
+    diag = np.diagonal(a, axis1=1, axis2=2)
+    tol = _INDEFINITE_TOL / n * diag.sum(axis=1)
+    residual = diag[rows, piv] - np.einsum("icj,icj->ij", lt, lt)
+    # A PSD residual R has |(R v)_i| <= sqrt(R_ii) * sum_j sqrt(R_jj) v_j for
+    # v > 0 (Cauchy-Schwarz); one matrix-vector product catches the
+    # off-diagonal mass the diagonal test cannot see.  v is not constant, so a
+    # residual whose rows sum to zero is caught too.  Everything is in pivot
+    # order, which leaves both tests unchanged.
+    v = _probe(n)
+    av = (a @ v)[rows, piv]
+    v = v[piv]
+    root = np.sqrt(np.maximum(residual, 0.0))
+    probed = av - ((lt @ v[:, :, None]).transpose(0, 2, 1) @ lt)[:, 0]
+    excess = (np.abs(probed) - root * (root * v).sum(axis=1, keepdims=True)).max(axis=1)
+    low = residual.min(axis=1)
+    errors = {}
+    for i in np.flatnonzero((low < -tol) | (excess > tol)):
+        if low[i] < -tol[i]:
+            detail = f"residual diagonal {low[i]:.3e} after rank {ranks[i]} is below {-tol[i]:.3e}"
+        else:
+            detail = (f"the residual probe after rank {ranks[i]} exceeds its positive "
+                      f"semidefinite bound by {excess[i]:.3e} > {tol[i]:.3e}")
+        errors[int(i)] = f"covariance of size n={n} is indefinite: {detail}"
+    return errors
 
 
 def sample_joint(model: FieldModel, points, rng) -> np.ndarray:
@@ -552,6 +598,114 @@ def sample_conditional(model: FieldModel, tau, value_at_tau: float, points, rng)
     """
     values, _ = _conditional_draw(model, tau, value_at_tau, points, rng)
     return values
+
+
+# Per-thread buffers of _conditional_draw_block: the (B, m, m + 1) assembly
+# and the (B, m, m) factors, grown when a block needs more rows and replaced
+# when m changes.
+_block_buffers = threading.local()
+
+
+def _block_buffer_pair(size: int, m: int):
+    pair = getattr(_block_buffers, "pair", None)
+    if pair is None or pair[1].shape[1] != m or pair[1].shape[0] < size:
+        pair = _block_buffers.pair = (np.empty((size, m, m + 1)), np.empty((size, m, m)))
+    return pair[0][:size], pair[1][:size]
+
+
+def _stacked_corr(model: FieldModel, a: np.ndarray, b: np.ndarray, out: np.ndarray):
+    if getattr(model.kernel, "stacked", False):
+        return model.kernel(a, b, out=out)
+    for i in range(a.shape[0]):
+        out[i] = model.kernel(a[i], b[i], out=out[i])
+    return out
+
+
+def _conditional_draw_block(model: FieldModel, taus: np.ndarray, values_at_tau: np.ndarray,
+                            points: np.ndarray, rng):
+    """Conditional draws for a block of B replicates: row i draws the field at
+    ``points[i]`` (m, d) given f(taus[i]) = values_at_tau[i].
+
+    Returns (values (B, m), rank (B,), errors).  ``errors`` maps the row of
+    each replicate left without a draw to its error: kernel values that are
+    not finite (:class:`ModelEvaluationError`), or a covariance indefinite
+    beyond rounding (:class:`SingularModelError`); such rows are NaN and
+    consume no normals.  The other rows consume rank normals each, in row
+    order, as one draw each would.
+
+    A block of one is :func:`_conditional_draw`.  Larger blocks assemble all
+    covariances in one (B, m, m + 1) buffer, with one kernel call for a
+    stacked kernel and one finite check, factor each with ``dpotrf``, else
+    ``dpstrf`` (as :func:`factor_psd`), run the indefiniteness test of every
+    pivoted factor as one batched evaluation, and draw with the factors
+    zero-padded to (m, m).
+    """
+    size, m, d = points.shape
+    if size == 1:
+        try:
+            values, rank = _conditional_draw(model, taus[0], float(values_at_tau[0]),
+                                             points[0], rng)
+        except (ModelEvaluationError, SingularModelError) as exc:
+            return np.full((1, m), np.nan), np.zeros(1, dtype=int), {0: exc}
+        return values[None, :], np.array([rank]), {}
+
+    assembly, work = _block_buffer_pair(size, m)
+    flat = points.reshape(-1, d)
+    sig = model.std_at(flat).reshape(size, m)
+    sig_tau = model.std_at(taus)
+    mu_tau = model.mean_at(taus)
+    # one kernel evaluation per block: the last column of row i is r(t_ij, tau_i)
+    corr = _stacked_corr(model, points, np.concatenate([points, taus[:, None, :]], axis=1),
+                         assembly)
+    finite = np.isfinite(corr).all(axis=(1, 2))
+    errors = {int(i): ModelEvaluationError("correlation function returned a non-finite value")
+              for i in np.flatnonzero(~finite)}
+    corr[~finite] = 0.0
+    r_tau = corr[:, :, m]
+    mean = (model.mean_at(flat).reshape(size, m)
+            + (sig / sig_tau[:, None]) * r_tau * (values_at_tau - mu_tau)[:, None])
+    cov = corr[:, :, :m]
+    if model.constant_std != 1.0:
+        cov *= np.einsum("bi,bj->bij", sig, sig, out=work)
+    proj = sig * r_tau
+    cov -= np.einsum("bi,bj->bij", proj, proj, out=work)
+    for i, j in zip(*np.nonzero((points == taus[:, None, :]).all(axis=2))):
+        mean[i, j] = values_at_tau[i]
+        cov[i, j, :] = 0.0
+        cov[i, :, j] = 0.0
+
+    # work[i].T is Fortran-ordered, so LAPACK factors it in place; it then
+    # holds the lower factor L_i, and work[i] holds L_i^T.
+    np.copyto(work, cov.transpose(0, 2, 1))
+    rank = np.full(size, m)
+    order = np.broadcast_to(np.arange(m), (size, m)).copy()  # row order of each factor
+    pivoted = []
+    for i in range(size):
+        if i in errors:
+            rank[i] = 0
+            continue
+        lower = work[i].T
+        if dpotrf(lower, lower=1, overwrite_a=1)[1]:
+            lower[...] = cov[i]
+            _, piv, rank[i], _ = dpstrf(lower, lower=1, overwrite_a=1)
+            order[i] = piv - 1
+            pivoted.append(i)
+    # keep L_i's lower triangle and its first rank_i columns
+    work *= np.triu(np.ones((m, m), dtype=bool)) & (np.arange(m)[:, None] < rank[:, None, None])
+    if pivoted:
+        rows = pivoted if len(pivoted) < size else slice(None)  # a slice takes views
+        failed = _residual_errors(cov[rows], work[rows], order[rows], rank[rows])
+        for k, message in failed.items():
+            errors[pivoted[k]] = SingularModelError(message)
+            rank[pivoted[k]] = 0
+
+    normals = np.zeros((size, m))
+    normals[np.arange(m) < rank[:, None]] = rng.standard_normal(int(rank.sum()))
+    draws = np.matmul(normals[:, None, :], work)[:, 0, :]  # row i: L_i z_i in pivot order
+    mean[np.arange(size)[:, None], order] += draws
+    if errors:
+        mean[list(errors)] = np.nan
+    return mean, rank, errors
 
 
 # ---------------------------------------------------------------------------

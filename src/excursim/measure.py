@@ -293,65 +293,56 @@ def sample_tau(model: FieldModel, ctx: MeasureContext, rng, size: int | None = N
 # Truncated Gaussian tail sampling
 # ---------------------------------------------------------------------------
 
-def _truncated_std_normal(rng, c: float) -> float:
-    """Standard normal conditioned on exceeding c; uniformly efficient in c."""
-    if c < 1.0:
-        # plain rejection: acceptance P(Z > c) >= P(Z > 1) ~ 0.159
-        while True:
-            z = rng.standard_normal()
-            if z > c:
-                return z
-    # shifted-exponential rejection with the optimal rate
-    lam = 0.5 * (c + math.sqrt(c * c + 4.0))
-    while True:
-        x = c + rng.exponential() / lam
-        diff = x - lam
-        if rng.random() <= math.exp(-0.5 * diff * diff):
-            return x
+def _truncated_std_normal(rng, c: np.ndarray) -> np.ndarray:
+    """Standard normals, entry i conditioned on exceeding c[i]; uniformly
+    efficient in c.
 
-
-def _truncated_std_normal_batch(rng, c: float, size: int) -> np.ndarray:
-    out = np.empty(size)
-    if c < 1.0:
-        pending = np.arange(size)
-        while pending.size:
-            z = rng.standard_normal(pending.size)
-            ok = z > c
-            out[pending[ok]] = z[ok]
-            pending = pending[~ok]
-        return out
-    lam = 0.5 * (c + math.sqrt(c * c + 4.0))
-    pending = np.arange(size)
+    Thresholds below 1 use plain rejection (acceptance P(Z > c) >= P(Z > 1)
+    ~ 0.159), the others shifted-exponential rejection with the optimal rate.
+    """
+    out = np.empty(c.shape)
+    low = c < 1.0
+    pending = np.flatnonzero(low)
     while pending.size:
-        x = c + rng.exponential(size=pending.size) / lam
-        ok = rng.random(pending.size) <= np.exp(-0.5 * (x - lam) ** 2)
+        z = rng.standard_normal(pending.size)
+        ok = z > c[pending]
+        out[pending[ok]] = z[ok]
+        pending = pending[~ok]
+    pending = np.flatnonzero(~low)
+    lam = 0.5 * (c + np.sqrt(c * c + 4.0))
+    while pending.size:
+        lam_p = lam[pending]
+        x = c[pending] + rng.exponential(size=pending.size) / lam_p
+        ok = rng.random(pending.size) <= np.exp(-0.5 * (x - lam_p) ** 2)
         out[pending[ok]] = x[ok]
         pending = pending[~ok]
     return out
 
 
-def sample_truncated_tail(mu0: float, sigma0: float, gamma: float, rng,
-                          size: int | None = None):
+def sample_truncated_tail(mu0, sigma0, gamma: float, rng, size: int | None = None):
     """Draw from N(mu0, sigma0^2) conditioned to exceed gamma.
 
-    Uses plain rejection below standardized threshold 1 and shifted-exponential
-    rejection above it; every output is strictly greater than gamma, for
-    standardized thresholds up to ~40.
+    ``mu0`` and ``sigma0`` are scalars or arrays of shape (size,), one law per
+    draw, so a block of replicates draws every f(tau) in one call.  Returns a
+    scalar when ``size`` is None (a batch of one), else a (size,) array.
+    Uses plain rejection below standardized threshold 1 and
+    shifted-exponential rejection above it; every output is strictly greater
+    than gamma, for standardized thresholds up to ~40.
     """
-    if sigma0 <= 0.0:
+    n = 1 if size is None else int(size)
+    mu = np.asarray(mu0, dtype=float)
+    sigma = np.asarray(sigma0, dtype=float)
+    if (sigma <= 0.0).any():
         raise ValueError("sigma0 must be positive")
-    c = (gamma - mu0) / sigma0
-    if size is None:
-        while True:
-            value = mu0 + sigma0 * _truncated_std_normal(rng, c)
-            if value > gamma:
-                return value
-    out = mu0 + sigma0 * _truncated_std_normal_batch(rng, c, int(size))
+    c = np.empty(n)
+    c[...] = (gamma - mu) / sigma
+    out = mu + sigma * _truncated_std_normal(rng, c)
     bad = np.flatnonzero(out <= gamma)
     while bad.size:
-        out[bad] = mu0 + sigma0 * _truncated_std_normal_batch(rng, c, bad.size)
+        mu_bad, sigma_bad = (np.broadcast_to(x, (n,))[bad] for x in (mu, sigma))
+        out[bad] = mu_bad + sigma_bad * _truncated_std_normal(rng, c[bad])
         bad = bad[out[bad] <= gamma]
-    return out
+    return out[0] if size is None else out
 
 
 # ---------------------------------------------------------------------------

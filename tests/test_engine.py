@@ -1,17 +1,21 @@
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import excursim as ex
-from excursim.engine import _run_replicates
+from excursim.engine import ReplicateArrays, _Block, _draw_block, _run_blocks, block_size
 from excursim.errors import (
     ConfigurationError,
     ExcursimError,
     InsufficientReplicatesError,
     IntegrandBoundsError,
+    ModelEvaluationError,
     NoHitError,
     ReplicateFailureError,
+    SingularModelError,
 )
 
 
@@ -200,33 +204,125 @@ class TestEstimateConditional:
                                     density=ex.DesignDensity(1, 3, 1.0), seed=2)
 
 
+def _fake_block(rng, lo, hi, failing=()):
+    """A block whose replicate values are uniforms; replicates in ``failing`` error."""
+    size = hi - lo
+    errors = {i - lo: ExcursimError("boom") for i in range(lo, hi) if i in failing}
+    ok = np.ones(size, dtype=bool)
+    ok[list(errors)] = False
+    values = ReplicateArrays(log_z=np.log(rng.random(size)), log_y=np.full(size, -np.inf),
+                             mes=np.ones(size), rank=np.ones(size, dtype=np.int32), ok=ok)
+    return _Block(values=values, errors=errors)
+
+
 class TestRunReplicates:
     def test_isolated_failures_are_excluded_and_counted(self):
-        def fn(rng, i):
-            if i == 3:
-                raise ExcursimError("boom")
-            return float(i)
-
-        results, errored = _run_replicates(fn, 5000, 0, workers=1)
+        kept, errored = _run_blocks(
+            lambda rng, lo, hi: _fake_block(rng, lo, hi, failing={3}), 5000, 64, 0, workers=1)
         assert errored == 1
-        assert len(results) == 4999
+        assert kept.ok.size == 4999 and kept.ok.all()
 
     def test_failure_threshold_aborts_run(self):
-        def fn(rng, i):
-            if i % 10 == 0:
-                raise ExcursimError("boom")
-            return float(i)
-
         with pytest.raises(ReplicateFailureError):
-            _run_replicates(fn, 1000, 0, workers=1)
+            _run_blocks(lambda rng, lo, hi: _fake_block(rng, lo, hi, failing=range(0, 1000, 10)),
+                        1000, 64, 0, workers=1)
 
     def test_worker_partition_invariance(self):
-        def fn(rng, i):
-            return float(rng.random())
-
+        reference, _ = _run_blocks(_fake_block, 2000, 64, 42, workers=1)
         for workers in (1, 2, 3, 8):
-            values, _ = _run_replicates(fn, 200, 42, workers=workers)
-            assert values == _run_replicates(fn, 200, 42, workers=1)[0]
+            kept, _ = _run_blocks(_fake_block, 2000, 64, 42, workers=workers)
+            assert np.array_equal(kept.log_z, reference.log_z)
+
+    def test_a_raising_block_drops_all_its_replicates(self):
+        def block(rng, lo, hi):
+            if lo <= 3 < hi:
+                raise ExcursimError("tau sampler failed")
+            return _fake_block(rng, lo, hi)
+
+        kept, errored = _run_blocks(block, 5000, 4, 0, workers=1)
+        assert errored == 4 and kept.ok.size == 4996
+
+
+def _faulty_kernel(target, fault):
+    """Squared-exponential kernel that misbehaves on the design containing ``target``."""
+    base = ex.SquaredExponential()
+
+    def kernel(a, b, out=None):
+        if not np.any(np.all(a == target, axis=1)):
+            return base(a, b, out=out)
+        if fault == "nan":
+            return np.full((a.shape[0], b.shape[0]), np.nan)
+        # unit diagonal, -0.5 elsewhere, uncorrelated with tau: indefinite for m > 3
+        return np.where(np.arange(a.shape[0])[:, None] == np.arange(b.shape[0]), 1.0, -0.5)
+
+    return kernel
+
+
+class TestBlocks:
+    def test_block_sizes(self):
+        assert block_size(20) == 312
+        assert block_size(40) == 79
+        assert block_size(320) == 1
+
+    @pytest.mark.parametrize("fault, error", [("nan", ModelEvaluationError),
+                                              ("indefinite", SingularModelError)])
+    def test_user_kernel_failure_drops_only_its_replicate(self, fault, error):
+        domain = ex.BoxDomain([0.0], [1.0])
+        clean = ex.FieldModel(domain, ex.SquaredExponential())
+        b, m, n, seed = 4.0, 10, 2000, 12
+        ctx, scales = ex.measure_context(clean, b), ex.cluster_scale(clean, b)
+        density = ex.DesignDensity(1, 3, 1.0)
+
+        def first_block(model):
+            # the draws of block 0 of a run with this seed
+            return _draw_block(model, ctx, scales, density, m, None, block_size(m),
+                               np.random.default_rng((seed, 0)))
+
+        reference = first_block(clean)
+        target = reference.draws.points[17, 0]
+        model = ex.FieldModel(domain, _faulty_kernel(target, fault),
+                              regularity=clean.regularity)
+        faulty = first_block(model)
+        assert list(faulty.errors) == [17]
+        assert isinstance(faulty.errors[17], error)
+        assert np.flatnonzero(~faulty.values.ok).tolist() == [17]
+        # replicates before it consume the same normals as without the fault
+        assert np.allclose(faulty.field_values[:17], reference.field_values[:17],
+                           rtol=0.0, atol=1e-12)
+
+        report = ex.estimate_tail(model, b, n, m, density=density, seed=seed)
+        assert report.errored == 1 and report.n == n - 1
+
+    def test_threads_keep_their_own_block_buffers(self, smooth_model):
+        # six blocks of 79 on four threads, switching as often as possible
+        kwargs = dict(m=40, density=ex.DesignDensity(2, 4, 0.625), seed=21)
+        serial = ex.estimate_tail_and_excursion(smooth_model, 4.0, 474, workers=1, **kwargs)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = ex.estimate_tail_and_excursion(smooth_model, 4.0, 474, workers=4,
+                                                      **kwargs)
+        finally:
+            sys.setswitchinterval(interval)
+        for a, b in zip(serial, threaded):
+            assert (a.estimate, a.std_err, a.errored) == (b.estimate, b.std_err, b.errored)
+
+    def test_memory_is_bounded_in_n(self, smooth_model):
+        spec = ex.PRESETS["table2"]
+        density = ex.DesignDensity(2, spec["dof"], spec["scale"])
+
+        def peak_bytes(n):
+            tracemalloc.start()
+            try:
+                ex.estimate_tail_and_excursion(smooth_model, 4.0, n, spec["m"],
+                                               density=density, seed=5, workers=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak_bytes(200)  # allocates this thread's block buffers
+        small, large = peak_bytes(2_000), peak_bytes(20_000)
+        assert large <= 1.5 * small, (small, large)
 
 
 class TestPickands:

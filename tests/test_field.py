@@ -109,6 +109,17 @@ class TestCovMatrix:
         assert kernel(a, b, out=buf) is buf
         assert np.array_equal(buf, kernel(a, b))
 
+    @pytest.mark.parametrize("kernel, d", [(ex.SquaredExponential(0.7), 2),
+                                           (ex.Exponential(4.0), 2),
+                                           (ex.PowerExponential(1.5, 0.5), 3),
+                                           (ex.CosineProcess(), 1)])
+    def test_stacked_kernel_matches_each_pair(self, kernel, d, rng):
+        a, b = rng.random((4, 7, d)), rng.random((4, 5, d))
+        buf = np.full((4, 7, 5), np.nan)
+        assert kernel(a, b, out=buf) is buf
+        for i in range(4):
+            assert np.array_equal(buf[i], kernel(a[i], b[i]))
+
     def test_positive_semidefinite_random_points(self, smooth_model, rng):
         pts = rng.random((40, 2))
         eig = np.linalg.eigvalsh(ex.cov_matrix(smooth_model, pts))
@@ -324,6 +335,35 @@ class TestConditional:
         assert np.array_equal(b_factor, factor)
         assert np.array_equal(b_cov, before)
         assert (factor.shape[1] == n) == full_rank
+
+    @pytest.mark.parametrize("kernel, d, std", [(ex.SquaredExponential(), 1, 1.0),
+                                                (ex.SquaredExponential(), 2, 2.5),
+                                                (ex.Exponential(4.0), 2, 1.0),
+                                                (ex.PowerExponential(1.5), 2,
+                                                 lambda p: 1.0 + 0.5 * p[:, 0]),
+                                                (ex.CosineProcess(), 1, 1.0)])
+    def test_block_matches_single_draws(self, kernel, d, std):
+        # reference: one _conditional_draw per replicate, on the same stream
+        from excursim.field import _conditional_draw, _conditional_draw_block
+
+        model = ex.FieldModel(ex.BoxDomain(np.zeros(d), np.ones(d)), kernel, std=std,
+                              mean=ex.LinearMean(np.full(d, 0.1)))
+        size, m = 12, 30
+        setup = np.random.default_rng(3)
+        taus = setup.random((size, d))
+        points = taus[:, None, :] + setup.standard_t(3, (size, m, d)) / 20.0
+        points[4, 7] = taus[4]  # a design point at tau is pinned to f(tau)
+        values_at_tau = 4.0 + setup.random(size)
+
+        values, rank, errors = _conditional_draw_block(model, taus, values_at_tau, points,
+                                                       np.random.default_rng(9))
+        rng = np.random.default_rng(9)
+        single = [_conditional_draw(model, taus[i], values_at_tau[i], points[i], rng)
+                  for i in range(size)]
+        assert errors == {}
+        assert rank.tolist() == [r for _, r in single]
+        assert np.allclose(values, [v for v, _ in single], rtol=1e-12, atol=1e-12)
+        assert values[4, 7] == values_at_tau[4]
 
     def test_steady_state_draw_allocates_no_square_matrix(self):
         from excursim.field import _conditional_draw

@@ -174,6 +174,19 @@ class TestTruncatedTail:
         stat = stats.kstest(draws, cdf)
         assert stat.statistic < 0.02
 
+    def test_one_law_per_draw(self, rng):
+        # thresholds on both sides of the switch between the two samplers
+        n = 20000
+        mu0 = np.repeat([0.0, 2.0], n)
+        sigma0 = np.repeat([1.0, 3.0], n)
+        draws = ex.sample_truncated_tail(mu0, sigma0, 3.0, rng, size=2 * n)
+        assert draws.shape == (2 * n,) and (draws > 3.0).all()
+        for half, mu, sigma in ((draws[:n], 0.0, 1.0), (draws[n:], 2.0, 3.0)):
+            c = (3.0 - mu) / sigma
+            target = mu + sigma * stats.norm.pdf(c) / float(ex.gaussian_tail(c))
+            se = half.std(ddof=1) / math.sqrt(n)
+            assert abs(half.mean() - target) < 4.0 * se
+
     def test_scalar_draw(self, rng):
         value = ex.sample_truncated_tail(0.0, 1.0, 5.0, rng)
         assert np.isscalar(value) and value > 5.0

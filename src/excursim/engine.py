@@ -26,10 +26,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-# sample_design_points, mes_hat and alpha_hat are not called here: replicates
-# use the block routines.  They stay names of this module because the
-# benchmark's tracer (perfbench/tracing.py) wraps them here by name.
-from .design import (  # noqa: F401
+from .design import (
     DesignDensity,
     DesignDraw,
     ScaleFactors,
@@ -164,6 +161,18 @@ def block_size(m: int) -> int:
 
 
 @dataclass
+class _Block:
+    """Results of one block of replicates: the per-replicate values, and the
+    error of each dropped replicate by its row in the block."""
+
+    log_z: np.ndarray
+    log_y: np.ndarray
+    mes: np.ndarray
+    rank: np.ndarray
+    errors: dict
+
+
+@dataclass
 class ReplicateArrays:
     """Per-replicate results as parallel arrays (struct of arrays).
 
@@ -185,10 +194,13 @@ class ReplicateArrays:
                    mes=np.zeros(n), rank=np.zeros(n, dtype=np.int32),
                    ok=np.zeros(n, dtype=bool))
 
-    def put(self, lo: int, other: "ReplicateArrays"):
-        hi = lo + other.ok.size
-        for name in ("log_z", "log_y", "mes", "rank", "ok"):
-            getattr(self, name)[lo:hi] = getattr(other, name)
+    def put(self, lo: int, block: _Block):
+        """Store ``block`` as replicates lo onward; its dropped rows are not ok."""
+        hi = lo + block.log_z.size
+        for name in ("log_z", "log_y", "mes", "rank"):
+            getattr(self, name)[lo:hi] = getattr(block, name)
+        self.ok[lo:hi] = True
+        self.ok[[lo + row for row in block.errors]] = False
 
     def kept(self) -> "ReplicateArrays":
         ok = self.ok
@@ -197,44 +209,55 @@ class ReplicateArrays:
 
 
 @dataclass
-class _Block:
-    """One block of replicates: the results the run keeps, the errors of its
-    dropped replicates by row, and the draw itself (for single replicates)."""
+class _DrawnBlock(_Block):
+    """A block with its draws, from which single replicates are built."""
 
-    values: ReplicateArrays
-    errors: dict
-    taus: np.ndarray | None = None
-    values_at_tau: np.ndarray | None = None
-    draws: DesignDraw | None = None
-    field_values: np.ndarray | None = None
-    hits: np.ndarray | None = None
+    taus: np.ndarray
+    values_at_tau: np.ndarray
+    draws: DesignDraw
+    field_values: np.ndarray
+    hits: np.ndarray
 
     def replicate(self, row: int, stream: int, with_integral: bool) -> Replicate:
         """Row ``row`` as a :class:`Replicate`; raises its error if it was dropped."""
         if row in self.errors:
             raise self.errors[row]
-        v = self.values
-        log_z, log_y = float(v.log_z[row]), float(v.log_y[row])
+        log_z, log_y = float(self.log_z[row]), float(self.log_y[row])
         return Replicate(
             tau=self.taus[row], value_at_tau=float(self.values_at_tau[row]),
             draw=self.draws[row], field_values=self.field_values[row],
-            mes=float(v.mes[row]), indicator=bool(self.hits[row]), z_hat=math.exp(log_z),
+            mes=float(self.mes[row]), indicator=bool(self.hits[row]), z_hat=math.exp(log_z),
             log_z=log_z, y_hat=math.exp(log_y) if with_integral else None, log_y=log_y,
-            rank=int(v.rank[row]), stream=stream)
+            rank=int(self.rank[row]), stream=stream)
 
 
 def _draw_block(model: FieldModel, ctx: MeasureContext, scales: ScaleFactors,
                 density: DesignDensity, m: int, integrand: IntegrandSpec | None,
-                size: int, rng) -> _Block:
+                size: int, rng) -> _DrawnBlock:
     """Draw ``size`` replicates from one stream, in this order: the tau
-    locations, the values f(tau), the design points, the field values."""
+    locations, the values f(tau), the design points, the field values.
+
+    A block of one calls the single-draw routines ``sample_design_points``,
+    ``mes_hat`` and ``alpha_hat`` (the field layer likewise takes
+    ``_conditional_draw``).  They consume the stream and round as the block
+    routines do, and per-call instrumentation of them, such as the
+    benchmark's tracer, sees one call per replicate.
+    """
+    single = size == 1
     taus = sample_tau(model, ctx, rng, size=size)
     values_at_tau = sample_truncated_tail(model.mean_at(taus), model.std_at(taus),
                                           ctx.gamma, rng, size=size)
-    draws = sample_design_block(taus, scales.zeta, m, density, model.domain, rng)
+    if single:
+        draw = sample_design_points(taus[0], scales.zeta, m, density, model.domain, rng)
+        draws = draw[None]  # stacked as a block of one
+    else:
+        draws = sample_design_block(taus, scales.zeta, m, density, model.domain, rng)
     field_values, rank, errors = _conditional_draw_block(model, taus, values_at_tau,
                                                          draws.points, rng)
-    mes = mes_hat_block(field_values, ctx.gamma, draws)
+    if single:
+        mes = np.array([mes_hat(field_values[0], ctx.gamma, draw)])
+    else:
+        mes = mes_hat_block(field_values, ctx.gamma, draws)
     # a hit implies a design point above b > gamma inside T, hence mes > 0
     hits = np.any((field_values > ctx.b) & draws.inside, axis=1)
     log_z = np.full(size, -np.inf)
@@ -246,16 +269,17 @@ def _draw_block(model: FieldModel, ctx: MeasureContext, scales: ScaleFactors,
             errors.setdefault(int(i), IntegrandBoundsError(
                 f"integrand value outside declared bounds "
                 f"[{integrand.lower}, {integrand.upper}]"))
-        a_hat = alpha_hat_block(xi, field_values, ctx.b, draws)
+        if single:
+            a_hat = np.array([alpha_hat(xi[0], field_values[0], ctx.b, draw)])
+        else:
+            a_hat = alpha_hat_block(xi, field_values, ctx.b, draws)
         # a_hat > 0 needs a design point above b inside T, so mes > 0 there too
         positive = a_hat > 0.0
         log_y[positive] = (ctx.log_norm_integral + np.log(a_hat[positive])
                            - np.log(mes[positive]))
-    ok = np.ones(size, dtype=bool)
-    ok[list(errors)] = False
-    values = ReplicateArrays(log_z=log_z, log_y=log_y, mes=mes, rank=rank, ok=ok)
-    return _Block(values=values, errors=errors, taus=taus, values_at_tau=values_at_tau,
-                  draws=draws, field_values=field_values, hits=hits)
+    return _DrawnBlock(log_z=log_z, log_y=log_y, mes=mes, rank=rank, errors=errors,
+                       taus=taus, values_at_tau=values_at_tau, draws=draws,
+                       field_values=field_values, hits=hits)
 
 
 def run_tail_replicate(model: FieldModel, ctx: MeasureContext, scales: ScaleFactors,
@@ -308,7 +332,7 @@ def _run_blocks(block_fn, n: int, size: int, seed, workers: int | None):
         except ExcursimError as exc:
             first_failure[k] = (lo, exc)
             return
-        results.put(lo, block.values)
+        results.put(lo, block)
         if block.errors:
             row = min(block.errors)
             first_failure[k] = (lo + row, block.errors[row])

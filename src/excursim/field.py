@@ -217,8 +217,7 @@ class PowerExponential:
 
     def __call__(self, a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
         h = _pairwise_dist(a, b, out=out)
-        if self.ell != 1.0:
-            h /= self.ell
+        h /= self.ell
         if self.shape == 2.0:
             np.multiply(h, h, out=h)
         elif self.shape != 1.0:

@@ -1,3 +1,4 @@
+import collections
 import math
 import sys
 import tracemalloc
@@ -6,7 +7,8 @@ import numpy as np
 import pytest
 
 import excursim as ex
-from excursim.engine import ReplicateArrays, _Block, _draw_block, _run_blocks, block_size
+import excursim.engine as engine
+from excursim.engine import _Block, _draw_block, _run_blocks, block_size
 from excursim.errors import (
     ConfigurationError,
     ExcursimError,
@@ -208,11 +210,8 @@ def _fake_block(rng, lo, hi, failing=()):
     """A block whose replicate values are uniforms; replicates in ``failing`` error."""
     size = hi - lo
     errors = {i - lo: ExcursimError("boom") for i in range(lo, hi) if i in failing}
-    ok = np.ones(size, dtype=bool)
-    ok[list(errors)] = False
-    values = ReplicateArrays(log_z=np.log(rng.random(size)), log_y=np.full(size, -np.inf),
-                             mes=np.ones(size), rank=np.ones(size, dtype=np.int32), ok=ok)
-    return _Block(values=values, errors=errors)
+    return _Block(log_z=np.log(rng.random(size)), log_y=np.full(size, -np.inf),
+                  mes=np.ones(size), rank=np.ones(size, dtype=np.int32), errors=errors)
 
 
 class TestRunReplicates:
@@ -285,13 +284,30 @@ class TestBlocks:
         faulty = first_block(model)
         assert list(faulty.errors) == [17]
         assert isinstance(faulty.errors[17], error)
-        assert np.flatnonzero(~faulty.values.ok).tolist() == [17]
+        assert np.isnan(faulty.field_values[17]).all()
         # replicates before it consume the same normals as without the fault
         assert np.allclose(faulty.field_values[:17], reference.field_values[:17],
                            rtol=0.0, atol=1e-12)
 
         report = ex.estimate_tail(model, b, n, m, density=density, seed=seed)
         assert report.errored == 1 and report.n == n - 1
+
+    @pytest.mark.parametrize("m, expected", [(256, 5), (40, 0)])
+    def test_only_blocks_of_one_call_the_single_draw_routines(self, monkeypatch, m, expected):
+        # per-call instrumentation of these names sees one call per replicate
+        # where a block is one replicate, and blocks pass no arrays through them
+        calls = collections.Counter()
+        for name in ("sample_design_points", "mes_hat", "alpha_hat"):
+            def counted(*args, _name=name, _original=getattr(engine, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(engine, name, counted)
+        model = ex.FieldModel(ex.BoxDomain([0.0], [1.0]), ex.SquaredExponential())
+        ex.estimate_tail_and_excursion(model, 4.0, 5, m, density=ex.DesignDensity(1, 3, 1.0),
+                                       seed=1, workers=1)
+        assert block_size(m) == (1 if expected else 79)
+        assert calls == collections.Counter(
+            {name: expected for name in ("sample_design_points", "mes_hat", "alpha_hat")})
 
     def test_threads_keep_their_own_block_buffers(self, smooth_model):
         # six blocks of 79 on four threads, switching as often as possible

@@ -21,7 +21,6 @@ from .engine import (
     Replicate,
     aggregate,
     estimate_conditional,
-    estimate_excursion_integral,
     estimate_pickands,
     estimate_tail,
     estimate_tail_and_excursion,
@@ -35,12 +34,10 @@ from .errors import (
     InsufficientReplicatesError,
     IntegrandBoundsError,
     InvalidLevelError,
-    InvalidWeightError,
     ModelEvaluationError,
     NoHitError,
     QuadratureError,
     ReplicateFailureError,
-    SamplerInefficiencyError,
     SingularModelError,
 )
 from .field import (
@@ -65,7 +62,6 @@ from .field import (
 from .measure import (
     MeasureContext,
     gamma_level,
-    likelihood_ratio_weight,
     log_normalizing_integral,
     measure_context,
     normalizing_integral,

@@ -247,11 +247,11 @@ def _weighted_hit_mean(weights, values: np.ndarray, level: float,
     return np.where(hits, weights * np.exp(-draw.log_density), 0.0).sum(axis=-1) / draw.m
 
 
-def mes_hat_block(values, gamma: float, draw: DesignDraw) -> np.ndarray:
+def mes_hat_block(values, gamma: float, draw: DesignDraw, ratio=1.0) -> np.ndarray:
     """:func:`mes_hat` of each draw of a stacked block; values (B, m)."""
     values = np.asarray(values, dtype=float)
     _check_aligned(draw, values)
-    return _weighted_hit_mean(1.0, values, gamma, draw)
+    return _weighted_hit_mean(ratio, values, gamma, draw)
 
 
 def alpha_hat_block(xi_values, f_values, b: float, draw: DesignDraw) -> np.ndarray:
@@ -262,10 +262,15 @@ def alpha_hat_block(xi_values, f_values, b: float, draw: DesignDraw) -> np.ndarr
     return _weighted_hit_mean(xi, fv, b, draw)
 
 
-def mes_hat(values, gamma: float, draw: DesignDraw) -> float:
-    """Unbiased excursion-volume estimate (1/m) sum I(f(t_i) > gamma) / k(t_i),
-    restricted to points inside the domain."""
-    return float(mes_hat_block(values, gamma, draw))
+def mes_hat(values, gamma: float, draw: DesignDraw, ratio=1.0) -> float:
+    """Unbiased excursion-volume estimate (1/m) sum r_i I(f(t_i) > gamma) / k(t_i),
+    restricted to points inside the domain.
+
+    ``ratio`` holds r_i = g(t_i) / pi(t_i), the tau proposal density over the
+    tilted tau density (see ``measure.proposal_ratio``); the default 1.0 is
+    the plain volume estimate, for tau drawn from pi itself.
+    """
+    return float(mes_hat_block(values, gamma, draw, ratio))
 
 
 def alpha_hat(xi_values, f_values, b: float, draw: DesignDraw,

@@ -14,7 +14,7 @@ order-insensitive.
 A replicate whose kernel values are not finite, whose covariance is
 indefinite beyond rounding, or whose integrand leaves its declared bounds is
 dropped and counted as errored; the rest of its block is kept.  Any other
-failure, such as one of the tau sampler, drops its whole block.
+failure, such as a non-finite model value at tau, drops its whole block.
 """
 
 from __future__ import annotations
@@ -55,7 +55,13 @@ from .field import (
     _conditional_draw_block,
     log_gaussian_tail,
 )
-from .measure import MeasureContext, measure_context, sample_tau, sample_truncated_tail
+from .measure import (
+    MeasureContext,
+    measure_context,
+    proposal_ratio,
+    sample_tau,
+    sample_truncated_tail,
+)
 
 __all__ = [
     "Replicate",
@@ -67,7 +73,6 @@ __all__ = [
     "run_integral_replicate",
     "aggregate",
     "estimate_tail",
-    "estimate_excursion_integral",
     "estimate_tail_and_excursion",
     "estimate_conditional",
     "pickands_estimate",
@@ -254,10 +259,12 @@ def _draw_block(model: FieldModel, ctx: MeasureContext, scales: ScaleFactors,
         draws = sample_design_block(taus, scales.zeta, m, density, model.domain, rng)
     field_values, rank, errors = _conditional_draw_block(model, taus, values_at_tau,
                                                          draws.points, rng)
+    ratio = proposal_ratio(model, ctx, draws.points)
     if single:
-        mes = np.array([mes_hat(field_values[0], ctx.gamma, draw)])
+        mes = np.array([mes_hat(field_values[0], ctx.gamma, draw,
+                                ratio[0] if np.ndim(ratio) else ratio)])
     else:
-        mes = mes_hat_block(field_values, ctx.gamma, draws)
+        mes = mes_hat_block(field_values, ctx.gamma, draws, ratio)
     # a hit implies a design point above b > gamma inside T, hence mes > 0
     hits = np.any((field_values > ctx.b) & draws.inside, axis=1)
     log_z = np.full(size, -np.inf)
@@ -447,12 +454,12 @@ def aggregate(values, *, target: str = "mean", epsilon: float | None = None,
 
 def _simulate(model: FieldModel, b: float, n: int, m: int | None, eps: float | None,
               lam: float, density: DesignDensity | None, seed, workers: int | None,
-              tau_sampler: str, integrand: IntegrandSpec | None):
+              integrand: IntegrandSpec | None):
     """Build the level's context and run n replicates in blocks.
 
     Returns (m, kept replicates, errored count, start time of the draws).
     """
-    ctx = measure_context(model, b, tau_sampler=tau_sampler)
+    ctx = measure_context(model, b)
     scales = cluster_scale(model, b)
     if m is None:
         if eps is None:
@@ -472,12 +479,11 @@ def _simulate(model: FieldModel, b: float, n: int, m: int | None, eps: float | N
 def estimate_tail(model: FieldModel, b: float, n: int, m: int | None = None, *,
                   eps: float | None = None, lam: float = 1.0,
                   density: DesignDensity | None = None, seed=0,
-                  workers: int | None = None, tau_sampler: str = "auto",
+                  workers: int | None = None,
                   epsilon: float | None = None, delta: float | None = None,
                   ) -> EstimateReport:
     """Estimate P(sup_T f > b) from n independent tilted replicates."""
-    m, kept, errored, start = _simulate(model, b, n, m, eps, lam, density, seed, workers,
-                                        tau_sampler, None)
+    m, kept, errored, start = _simulate(model, b, n, m, eps, lam, density, seed, workers, None)
     report = aggregate(np.exp(kept.log_z), log_values=kept.log_z, target="sup_tail",
                        epsilon=epsilon, delta=delta, b=float(b), m=m, seed=seed,
                        errored=errored)
@@ -490,7 +496,7 @@ def estimate_tail_and_excursion(model: FieldModel, b: float, n: int,
                                 integrand: IntegrandSpec | None = None,
                                 eps: float | None = None, lam: float = 1.0,
                                 density: DesignDensity | None = None, seed=0,
-                                workers: int | None = None, tau_sampler: str = "auto",
+                                workers: int | None = None,
                                 epsilon: float | None = None, delta: float | None = None,
                                 ) -> tuple[EstimateReport, EstimateReport]:
     """Joint run returning (tail report, excursion-integral report).
@@ -502,7 +508,7 @@ def estimate_tail_and_excursion(model: FieldModel, b: float, n: int,
     if integrand is None:
         integrand = IntegrandSpec.constant(1.0, model)
     m, kept, errored, start = _simulate(model, b, n, m, eps, lam, density, seed, workers,
-                                        tau_sampler, integrand)
+                                        integrand)
     elapsed = time.perf_counter() - start
     reports = tuple(
         aggregate(np.exp(logs), log_values=logs, target=target, epsilon=epsilon, delta=delta,
@@ -513,21 +519,12 @@ def estimate_tail_and_excursion(model: FieldModel, b: float, n: int,
     return reports
 
 
-def estimate_excursion_integral(model: FieldModel, b: float, n: int,
-                                m: int | None = None, *,
-                                integrand: IntegrandSpec | None = None,
-                                **kwargs) -> EstimateReport:
-    """Estimate E[integral of xi over the excursion set above b]."""
-    _, integral = estimate_tail_and_excursion(model, b, n, m, integrand=integrand, **kwargs)
-    return integral
-
-
 def estimate_conditional(model: FieldModel, b: float, n: int,
                          m: int | None = None, *,
                          integrand: IntegrandSpec | None = None,
                          eps: float | None = None, lam: float = 1.0,
                          density: DesignDensity | None = None, seed=0,
-                         workers: int | None = None, tau_sampler: str = "auto",
+                         workers: int | None = None,
                          ) -> EstimateReport:
     """Paired-ratio estimate of E[integral of xi over {f > b}] given sup f > b.
 
@@ -537,7 +534,7 @@ def estimate_conditional(model: FieldModel, b: float, n: int,
     if integrand is None:
         integrand = IntegrandSpec.constant(1.0, model)
     m, kept, errored, start = _simulate(model, b, n, m, eps, lam, density, seed, workers,
-                                        tau_sampler, integrand)
+                                        integrand)
     n_ok = kept.ok.size
     if n_ok < 2:
         raise InsufficientReplicatesError("need at least two replicate values")

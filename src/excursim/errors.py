@@ -25,14 +25,6 @@ class QuadratureError(ExcursimError):
     """Adaptive quadrature failed to converge within the refinement budget."""
 
 
-class SamplerInefficiencyError(ExcursimError):
-    """Rejection sampler acceptance rate collapsed; use the grid sampler."""
-
-
-class InvalidWeightError(ExcursimError):
-    """Likelihood-ratio weight requested for a non-positive volume estimate."""
-
-
 class IntegrandBoundsError(ExcursimError):
     """Integrand value observed outside its declared [a1, a2] bounds."""
 

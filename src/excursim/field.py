@@ -296,12 +296,11 @@ KERNELS = {
 # ---------------------------------------------------------------------------
 
 class LinearMean:
-    """mu(t) = intercept + coeffs . t, with its exact Lipschitz constant."""
+    """mu(t) = intercept + coeffs . t."""
 
     def __init__(self, coeffs, intercept: float = 0.0):
         self.coeffs = np.atleast_1d(np.asarray(coeffs, dtype=float))
         self.intercept = float(intercept)
-        self.lipschitz = float(np.linalg.norm(self.coeffs))
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         return self.intercept + points @ self.coeffs
@@ -339,7 +338,6 @@ class FieldModel:
     """
 
     def __init__(self, domain: BoxDomain, kernel, mean=0.0, std=1.0,
-                 mean_lipschitz: float | None = None,
                  regularity: RegularityParams | None = None):
         self.domain = domain
         self.kernel = kernel
@@ -353,12 +351,6 @@ class FieldModel:
         self._std = std
         if self.constant_std is not None and self.constant_std <= 0.0:
             raise ValueError("std must be strictly positive")
-
-        if mean_lipschitz is None and self.constant_mean is None:
-            mean_lipschitz = getattr(mean, "lipschitz", None)
-        if self.constant_mean is not None:
-            mean_lipschitz = 0.0
-        self.mean_lipschitz = mean_lipschitz
 
         if regularity is None:
             regularity = getattr(kernel, "regularity", None)

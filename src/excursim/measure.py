@@ -18,13 +18,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 from scipy.special import logsumexp
 
-from .errors import (
-    ConfigurationError,
-    InvalidLevelError,
-    InvalidWeightError,
-    QuadratureError,
-    SamplerInefficiencyError,
-)
+from .errors import InvalidLevelError, QuadratureError
 from .field import FieldModel, log_gaussian_tail, log_marginal_tail
 
 __all__ = [
@@ -36,8 +30,8 @@ __all__ = [
     "measure_context",
     "location_log_density",
     "sample_tau",
+    "proposal_ratio",
     "sample_truncated_tail",
-    "likelihood_ratio_weight",
 ]
 
 _QUAD_REL_TOL = 1e-8
@@ -45,9 +39,7 @@ _QUAD_MAX_REFINEMENTS = 12
 _QUAD_ORDER = 16
 _QUAD_MAX_POINTS = 2 ** 22
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_QUAD_ORDER)
-_ENVELOPE_GRID_BUDGET = 2 ** 20
-_GRID_SAMPLER_BUDGET = 2 ** 18
-_REJECTION_WARMUP = 1_000_000
+_PROPOSAL_CELLS = 2 ** 12  # tau proposal cells: 4096 in 1-d, 64^2 in 2-d, 16^3 in 3-d
 
 
 def gamma_level(b: float) -> float:
@@ -57,6 +49,10 @@ def gamma_level(b: float) -> float:
             f"level b={b} is outside the rare-event regime (need b > 1); "
             "use a crude Monte Carlo baseline at such levels")
     return b - 1.0 / b
+
+
+def _constant_marginals(model: FieldModel) -> bool:
+    return model.constant_mean is not None and model.constant_std is not None
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +100,7 @@ def log_normalizing_integral(model: FieldModel, gamma: float) -> tuple[float, Qu
     """
     if not np.isfinite(gamma):
         raise ValueError("gamma must be finite")
-    if model.constant_mean is not None and model.constant_std is not None:
+    if _constant_marginals(model):
         z = (gamma - model.constant_mean) / model.constant_std
         value = math.log(model.domain.measure) + float(log_gaussian_tail(z))
         return value, QuadratureInfo("constant-fast-path", 1, 0, 0.0)
@@ -141,8 +137,11 @@ def normalizing_integral(model: FieldModel, gamma: float) -> float:
 
 @dataclass(frozen=True)
 class MeasureContext:
-    """Per-level state: tilt level, normalizing integral, tau sampler tables.
+    """Per-level state: tilt level, normalizing integral, tau proposal cells.
 
+    The proposal has ``grid_shape`` cells in C order; cell c has mass
+    exp(cell_log_mass[c]) and corner ``cell_origin[c]``, all cells share the
+    side lengths ``cell_size``, and ``cell_cum`` holds the cumulative masses.
     Immutable after construction; safe to share across replicate workers.
     """
 
@@ -151,89 +150,43 @@ class MeasureContext:
     log_norm_integral: float
     norm_integral: float
     quadrature: QuadratureInfo
-    tau_method: str  # "uniform" | "rejection" | "grid"
-    log_envelope: float | None = None
-    grid_cum: np.ndarray | None = dc_field(default=None, repr=False)
-    grid_origin: np.ndarray | None = dc_field(default=None, repr=False)
-    grid_cell: np.ndarray | None = dc_field(default=None, repr=False)
-    grid_shape: tuple | None = None
+    grid_shape: tuple
+    cell_log_mass: np.ndarray = dc_field(repr=False)
+    cell_cum: np.ndarray = dc_field(repr=False)
+    cell_origin: np.ndarray = dc_field(repr=False)
+    cell_size: np.ndarray = dc_field(repr=False)
 
 
-def _per_axis_resolution(d: int, budget: int, cap: int) -> int:
-    return max(2, min(cap, int(budget ** (1.0 / d))))
-
-
-def _certified_log_envelope(model: FieldModel, gamma: float) -> float:
-    """Upper bound on sup_T P(f(t) > gamma) from a fine grid plus a
-    Lipschitz-modulus inflation, valid for constant-std models."""
+def _grid_sampler_tables(model: FieldModel, gamma: float, budget: int) -> dict:
+    """The proposal fields of a context: a grid of about ``budget`` cells over
+    the domain, masses proportional to the marginal tail at each cell centre;
+    a budget of 1 gives the one-cell, uniform proposal."""
     d = model.dimension
-    res = _per_axis_resolution(d, _ENVELOPE_GRID_BUDGET, 1025)
-    axes = [np.linspace(model.domain.lower[i], model.domain.upper[i], res) for i in range(d)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    sigma = model.constant_std
-    z = (gamma - model.mean_at(pts)) / sigma
-    z_min = float(z.min())
-    # any domain point is within half a cell diagonal of a grid node
-    half_diag = 0.5 * math.sqrt(float(np.sum((model.domain.side_lengths / (res - 1)) ** 2)))
-    z_min -= model.mean_lipschitz * half_diag / sigma
-    return float(log_gaussian_tail(z_min))
-
-
-def _grid_sampler_tables(model: FieldModel, gamma: float):
-    d = model.dimension
-    res = _per_axis_resolution(d, _GRID_SAMPLER_BUDGET, 512)
+    res = max(1, int(round(budget ** (1.0 / d))))
     cell = model.domain.side_lengths / res
     axes = [model.domain.lower[i] + cell[i] * (np.arange(res) + 0.5) for i in range(d)]
     grids = np.meshgrid(*axes, indexing="ij")
     centers = np.stack([g.ravel() for g in grids], axis=1)
-    logp = log_marginal_tail(model, centers, gamma)
-    logp -= logsumexp(logp)
-    cum = np.cumsum(np.exp(logp))
+    log_mass = log_marginal_tail(model, centers, gamma)
+    log_mass -= logsumexp(log_mass)
+    cum = np.cumsum(np.exp(log_mass))
     cum[-1] = 1.0
-    origin = centers - 0.5 * cell
-    return cum, origin, cell, (res,) * d
+    return dict(grid_shape=(res,) * d, cell_log_mass=log_mass, cell_cum=cum,
+                cell_origin=centers - 0.5 * cell, cell_size=cell)
 
 
-def measure_context(model: FieldModel, b: float, tau_sampler: str = "auto") -> MeasureContext:
+def measure_context(model: FieldModel, b: float) -> MeasureContext:
     """Build the per-level sampling context for level ``b``.
 
-    ``tau_sampler`` chooses how the location tau is drawn: "uniform" is exact
-    when mean and std are constant, "rejection" uses a certified envelope
-    (requires constant std and a Lipschitz bound on the mean), and "grid"
-    falls back to inverse-CDF sampling over a fine cell grid with uniform
-    jitter inside the chosen cell.  "auto" picks the best applicable method.
+    Constant mean and std give one cell, where the proposal is uniform and
+    equals the tau density exactly; otherwise the proposal has 2^12 cells.
     """
     gamma = gamma_level(b)
     log_ig, info = log_normalizing_integral(model, gamma)
-
-    constant = model.constant_mean is not None and model.constant_std is not None
-    certifiable = (model.constant_std is not None and model.mean_lipschitz is not None)
-    if tau_sampler == "auto":
-        tau_sampler = "uniform" if constant else ("rejection" if certifiable else "grid")
-    if tau_sampler == "uniform" and not constant:
-        raise ConfigurationError("uniform tau sampling requires constant mean and std")
-    if tau_sampler == "rejection" and constant:
-        tau_sampler = "uniform"
-
-    log_env = None
-    grid_cum = grid_origin = grid_cell = grid_shape = None
-    if tau_sampler == "rejection":
-        if not certifiable:
-            raise ConfigurationError(
-                "rejection tau sampling needs constant std and a mean Lipschitz bound; "
-                "use tau_sampler='grid'")
-        log_env = _certified_log_envelope(model, gamma)
-    elif tau_sampler == "grid":
-        grid_cum, grid_origin, grid_cell, grid_shape = _grid_sampler_tables(model, gamma)
-    elif tau_sampler != "uniform":
-        raise ConfigurationError(f"unknown tau sampler {tau_sampler!r}")
-
-    return MeasureContext(
-        b=float(b), gamma=gamma, log_norm_integral=log_ig,
-        norm_integral=math.exp(log_ig), quadrature=info, tau_method=tau_sampler,
-        log_envelope=log_env, grid_cum=grid_cum, grid_origin=grid_origin,
-        grid_cell=grid_cell, grid_shape=grid_shape)
+    budget = 1 if _constant_marginals(model) else _PROPOSAL_CELLS
+    return MeasureContext(b=float(b), gamma=gamma, log_norm_integral=log_ig,
+                          norm_integral=math.exp(log_ig), quadrature=info,
+                          **_grid_sampler_tables(model, gamma, budget))
 
 
 def location_log_density(model: FieldModel, ctx: MeasureContext, points):
@@ -245,48 +198,43 @@ def location_log_density(model: FieldModel, ctx: MeasureContext, points):
 # Sampling tau
 # ---------------------------------------------------------------------------
 
-def _sample_tau_rejection(model: FieldModel, ctx: MeasureContext, rng, size: int) -> np.ndarray:
-    out = np.empty((size, model.dimension))
-    filled = 0
-    proposals = 0
-    chunk = max(16, min(4096, 4 * size))
-    while filled < size:
-        cand = model.domain.sample_uniform(rng, chunk)
-        log_accept = log_marginal_tail(model, cand, ctx.gamma) - ctx.log_envelope
-        keep = np.log(rng.random(chunk)) <= log_accept
-        accepted = cand[keep]
-        take = min(size - filled, accepted.shape[0])
-        out[filled:filled + take] = accepted[:take]
-        filled += take
-        proposals += chunk
-        if filled == 0 and proposals >= _REJECTION_WARMUP:
-            raise SamplerInefficiencyError(
-                "tau rejection acceptance rate below 1e-6 after warm-up; "
-                "switch to tau_sampler='grid'")
-    return out
-
-
-def _sample_tau_grid(ctx: MeasureContext, rng, size: int) -> np.ndarray:
-    u = rng.random(size)
-    idx = np.searchsorted(ctx.grid_cum, u, side="right")
-    idx = np.minimum(idx, ctx.grid_cum.size - 1)
-    jitter = rng.random((size, ctx.grid_origin.shape[1]))
-    return ctx.grid_origin[idx] + jitter * ctx.grid_cell
-
-
 def sample_tau(model: FieldModel, ctx: MeasureContext, rng, size: int | None = None):
-    """Draw locations from the density proportional to P(f(t) > gamma) on T.
+    """Draw locations from the proposal: a cell by its mass, then a uniform
+    point inside it.  One cell draws no cell index, so it consumes the stream
+    as ``domain.sample_uniform`` does.
 
     Returns a (d,) point when ``size`` is None, else a (size, d) array.
     """
     n = 1 if size is None else int(size)
-    if ctx.tau_method == "uniform":
+    if ctx.cell_cum.size == 1:
         draws = model.domain.sample_uniform(rng, n)
-    elif ctx.tau_method == "rejection":
-        draws = _sample_tau_rejection(model, ctx, rng, n)
     else:
-        draws = _sample_tau_grid(ctx, rng, n)
+        idx = np.searchsorted(ctx.cell_cum, rng.random(n), side="right")
+        idx = np.minimum(idx, ctx.cell_cum.size - 1)
+        draws = ctx.cell_origin[idx] + rng.random((n, model.dimension)) * ctx.cell_size
     return draws[0] if size is None else draws
+
+
+def proposal_ratio(model: FieldModel, ctx: MeasureContext, points):
+    """Ratio r = g / pi of the proposal density to the tau density at points
+    (..., d); computed in log space, shape (...).
+
+    With r in the volume estimate, mes_r = (1/m) sum_i I(f_i > gamma, t_i in T)
+    r_i / k_i, the weight I_gamma / mes_r is exact for any proposal g.  It is
+    the scalar 1.0 when mean and std are constant, where g = pi exactly.
+    Points outside the domain take the ratio of the nearest domain point;
+    their indicators vanish anyway.
+    """
+    if _constant_marginals(model):
+        return 1.0
+    domain = model.domain
+    pts = np.clip(np.reshape(points, (-1, model.dimension)), domain.lower, domain.upper)
+    shape = np.array(ctx.grid_shape)
+    axis_idx = np.minimum(((pts - domain.lower) / ctx.cell_size).astype(np.intp), shape - 1)
+    cell = np.ravel_multi_index(axis_idx.T, ctx.grid_shape)
+    log_g = ctx.cell_log_mass[cell] - math.log(float(np.prod(ctx.cell_size)))
+    log_r = log_g - location_log_density(model, ctx, pts)
+    return np.exp(log_r).reshape(np.shape(points)[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -343,14 +291,3 @@ def sample_truncated_tail(mu0, sigma0, gamma: float, rng, size: int | None = Non
         out[bad] = mu_bad + sigma_bad * _truncated_std_normal(rng, c[bad])
         bad = bad[out[bad] <= gamma]
     return out[0] if size is None else out
-
-
-# ---------------------------------------------------------------------------
-# Importance weight
-# ---------------------------------------------------------------------------
-
-def likelihood_ratio_weight(ctx: MeasureContext, mes_estimate: float) -> float:
-    """Importance weight I_gamma / mes_estimate (original over tilted law)."""
-    if not np.isfinite(mes_estimate) or mes_estimate <= 0.0:
-        raise InvalidWeightError(f"volume estimate must be positive, got {mes_estimate}")
-    return math.exp(ctx.log_norm_integral - math.log(mes_estimate))

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import math
 import sys
 import tracemalloc
@@ -19,6 +20,7 @@ from excursim.errors import (
     ReplicateFailureError,
     SingularModelError,
 )
+from excursim.measure import _grid_sampler_tables
 
 
 @pytest.fixture(scope="module")
@@ -34,22 +36,28 @@ def cosine_setup(cosine_model):
 
 
 class TestReplicates:
-    def test_tail_replicate_invariants(self, cosine_setup):
-        s = cosine_setup
-        for i in range(800):
-            rng = np.random.default_rng((101, i))
-            rep = ex.run_tail_replicate(s["model"], s["ctx"], s["scales"],
-                                        s["density"], 20, rng, stream=i)
-            assert rep.value_at_tau > s["ctx"].gamma
-            assert rep.z_hat >= 0.0
-            assert rep.mes >= 0.0
-            assert rep.stream == i
-            if rep.indicator:
-                assert rep.mes > 0.0
-                expected = s["ctx"].norm_integral / rep.mes
-                assert rep.z_hat == pytest.approx(expected, rel=1e-12)
-            else:
-                assert rep.z_hat == 0.0
+    def test_tail_replicate_invariants(self, cosine_setup, smooth_model):
+        # constant marginals: the proposal is the tau density, so z = I_gamma / mes
+        b = 4.0
+        setups = [(cosine_setup, 20), ({
+            "model": smooth_model, "ctx": ex.measure_context(smooth_model, b),
+            "scales": ex.cluster_scale(smooth_model, b),
+            "density": ex.preset_density("table2")}, 40)]
+        for s, m in setups:
+            for i in range(800):
+                rng = np.random.default_rng((101, i))
+                rep = ex.run_tail_replicate(s["model"], s["ctx"], s["scales"],
+                                            s["density"], m, rng, stream=i)
+                assert rep.value_at_tau > s["ctx"].gamma
+                assert rep.z_hat >= 0.0
+                assert rep.mes >= 0.0
+                assert rep.stream == i
+                if rep.indicator:
+                    assert rep.mes > 0.0
+                    expected = s["ctx"].norm_integral / rep.mes
+                    assert rep.z_hat == pytest.approx(expected, rel=1e-12)
+                else:
+                    assert rep.z_hat == 0.0
 
     def test_integral_replicate_pairing(self, cosine_setup):
         s = cosine_setup
@@ -339,6 +347,48 @@ class TestBlocks:
         peak_bytes(200)  # allocates this thread's block buffers
         small, large = peak_bytes(2_000), peak_bytes(20_000)
         assert large <= 1.5 * small, (small, large)
+
+
+# Relative allowance for the finite-m bias at m=40: the 2-d excursion-integral
+# rows run 3-5% high whatever the tau proposal.
+_M40_BIAS_ALLOWANCE = 0.06
+
+
+class TestProposalWeight:
+    def test_excursion_integral_is_exact_for_any_proposal(self, trend_model):
+        # the forced one-cell proposal draws tau uniformly, away from the tau
+        # density on the trend model.  The corner integrand weights the
+        # low-mean corner, where the unratioed weight I_gamma / mes runs about
+        # 16% high on uniform tau; n = 8000 resolves that past both checks.
+        model, b, m, n = trend_model, 5.0, 40, 8000
+        grid = ex.measure_context(model, b)
+        one_cell = dataclasses.replace(grid, **_grid_sampler_tables(model, grid.gamma, 1))
+        scales, density = ex.cluster_scale(model, b), ex.preset_density("table3")
+
+        def corner(p):
+            return 0.05 + np.prod(np.clip(1.0 - p, 0.0, 1.0), axis=1)
+
+        nodes, weights = np.polynomial.legendre.leggauss(40)
+        x, w = (nodes + 1.0) / 2.0, np.outer(weights, weights).ravel() / 4.0
+        pts = np.stack(np.meshgrid(x, x, indexing="ij"), axis=-1).reshape(-1, 2)
+        cases = [(ex.IntegrandSpec.constant(1.0, model), ex.expected_excursion_measure(model, b)),
+                 (ex.IntegrandSpec.from_function(corner, 0.05, 1.05, model),
+                  float(w @ (corner(pts) * ex.marginal_tail(model, pts, b))))]
+        for k, (integrand, truth) in enumerate(cases):
+            reports = []
+            for j, ctx in enumerate((grid, one_cell)):
+                kept, errored = _run_blocks(
+                    lambda rng, lo, hi: _draw_block(model, ctx, scales, density, m, integrand,
+                                                    hi - lo, rng),
+                    n, block_size(m), (61, k, j), workers=1)
+                assert errored == 0
+                report = ex.aggregate(np.exp(kept.log_y), log_values=kept.log_y)
+                assert abs(report.estimate - truth) <= (4.0 * report.std_err
+                                                        + _M40_BIAS_ALLOWANCE * truth)
+                reports.append(report)
+            # the finite-m bias is shared, so the two proposals agree within 4 sigma
+            a, c = reports
+            assert abs(a.estimate - c.estimate) <= 4.0 * math.hypot(a.std_err, c.std_err)
 
 
 class TestPickands:

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -6,12 +5,7 @@ import pytest
 from scipy import integrate, stats
 
 import excursim as ex
-from excursim.errors import (
-    InvalidLevelError,
-    InvalidWeightError,
-    QuadratureError,
-    SamplerInefficiencyError,
-)
+from excursim.errors import InvalidLevelError, QuadratureError
 from excursim.measure import location_log_density, log_normalizing_integral
 
 
@@ -74,20 +68,21 @@ class TestMeasureContext:
         assert 0.0 < ctx.norm_integral <= trend_model.domain.measure
         assert ctx.log_norm_integral == pytest.approx(math.log(ctx.norm_integral))
 
-    def test_constant_model_uses_uniform_sampler(self, smooth_model):
-        assert ex.measure_context(smooth_model, 4.0).tau_method == "uniform"
-
-    def test_trend_model_uses_rejection_with_envelope(self, trend_model):
-        ctx = ex.measure_context(trend_model, 4.0)
-        assert ctx.tau_method == "rejection"
-        # envelope certifies an upper bound for the sup of the marginal tail
-        sup_grid = float(ex.log_marginal_tail(trend_model, [1.0, 1.0], ctx.gamma))
-        assert ctx.log_envelope >= sup_grid
-
-    def test_grid_sampler_available_by_flag(self, trend_model):
-        ctx = ex.measure_context(trend_model, 4.0, tau_sampler="grid")
-        assert ctx.tau_method == "grid"
-        assert ctx.grid_cum[-1] == pytest.approx(1.0)
+    def test_one_proposal_per_level(self, cosine_model, smooth_model, trend_model,
+                                    rough_model):
+        # constant marginals: one cell, the uniform law
+        for model in (cosine_model, smooth_model):
+            ctx = ex.measure_context(model, 4.0)
+            assert ctx.grid_shape == (1,) * model.dimension
+            assert ctx.cell_cum.tolist() == [1.0]
+        # varying mean: 64 x 64 cells, every one positive
+        for model in (trend_model, rough_model):
+            ctx = ex.measure_context(model, 8.0)
+            assert ctx.grid_shape == (64, 64)
+            mass = np.exp(ctx.cell_log_mass)
+            assert mass.sum() == pytest.approx(1.0, rel=1e-12)
+            assert (mass > 0.0).all()
+            assert ctx.cell_cum[-1] == 1.0 and (np.diff(ctx.cell_cum) > 0.0).all()
 
     def test_location_density_normalizes(self, trend_model):
         ctx = ex.measure_context(trend_model, 4.0)
@@ -101,40 +96,33 @@ class TestMeasureContext:
 
 
 class TestSampleTau:
-    def test_uniform_when_marginals_constant(self, cosine_model):
+    def test_uniform_when_marginals_constant(self, cosine_model, smooth_model):
         ctx = ex.measure_context(cosine_model, 4.0)
         draws = ex.sample_tau(cosine_model, ctx, np.random.default_rng(3), size=10000)
         stat = stats.kstest(draws[:, 0] / 0.75, "uniform")
         assert stat.pvalue > 0.01
+        # one cell draws no cell index: the stream goes as domain.sample_uniform
+        for model in (cosine_model, smooth_model):
+            ctx = ex.measure_context(model, 4.0)
+            for size in (None, 1, 79):
+                tau = ex.sample_tau(model, ctx, np.random.default_rng(4), size=size)
+                uniform = model.domain.sample_uniform(np.random.default_rng(4), size)
+                assert tau.tobytes() == uniform.tobytes()
 
-    def test_trend_draws_pull_toward_high_mean_corner(self, trend_model):
-        ctx = ex.measure_context(trend_model, 8.0)
-        draws = ex.sample_tau(trend_model, ctx, np.random.default_rng(5), size=10000)
-        for axis in range(2):
-            coord = draws[:, axis]
-            se = coord.std(ddof=1) / math.sqrt(coord.size)
-            assert coord.mean() > 0.5 + 4.0 * se
-
-    def test_grid_sampler_agrees_on_mean_shift(self, trend_model):
-        ctx = ex.measure_context(trend_model, 8.0, tau_sampler="grid")
-        draws = ex.sample_tau(trend_model, ctx, np.random.default_rng(6), size=10000)
-        for axis in range(2):
-            coord = draws[:, axis]
-            se = coord.std(ddof=1) / math.sqrt(coord.size)
-            assert coord.mean() > 0.5 + 4.0 * se
+    def test_trend_draws_pull_toward_high_mean_corner(self, trend_model, rough_model):
+        for model in (trend_model, rough_model):
+            ctx = ex.measure_context(model, 8.0)
+            draws = ex.sample_tau(model, ctx, np.random.default_rng(5), size=10000)
+            for axis in range(2):
+                coord = draws[:, axis]
+                se = coord.std(ddof=1) / math.sqrt(coord.size)
+                assert coord.mean() > 0.5 + 4.0 * se
 
     def test_scalar_draw_shape_and_support(self, trend_model):
         ctx = ex.measure_context(trend_model, 4.0)
         tau = ex.sample_tau(trend_model, ctx, np.random.default_rng(7))
         assert tau.shape == (2,)
         assert trend_model.domain.contains(tau)[0]
-
-    def test_collapsed_acceptance_rate_raises(self, trend_model):
-        # an (artificially) inflated envelope drives acceptance below 1e-6
-        ctx = ex.measure_context(trend_model, 4.0)
-        bad = dataclasses.replace(ctx, log_envelope=ctx.log_envelope + 25.0)
-        with pytest.raises(SamplerInefficiencyError, match="grid"):
-            ex.sample_tau(trend_model, bad, np.random.default_rng(8))
 
 
 class TestTruncatedTail:
@@ -191,24 +179,3 @@ class TestTruncatedTail:
         value = ex.sample_truncated_tail(0.0, 1.0, 5.0, rng)
         assert np.isscalar(value) and value > 5.0
 
-
-class TestLikelihoodRatioWeight:
-    def _ctx(self, norm_integral: float) -> ex.MeasureContext:
-        from excursim.measure import QuadratureInfo
-        return ex.MeasureContext(
-            b=3.0, gamma=3.0 - 1.0 / 3.0, log_norm_integral=math.log(norm_integral),
-            norm_integral=norm_integral, quadrature=QuadratureInfo("constant-fast-path", 1, 0, 0.0),
-            tau_method="uniform")
-
-    def test_ratio_identity(self):
-        assert ex.likelihood_ratio_weight(self._ctx(1e-3), 1e-3) == pytest.approx(1.0)
-
-    def test_plain_arithmetic(self):
-        got = ex.likelihood_ratio_weight(self._ctx(1.3499e-3), 2e-4)
-        assert got == pytest.approx(6.7495, rel=1e-10)
-
-    def test_nonpositive_volume_rejected(self):
-        ctx = self._ctx(1e-3)
-        for bad in (0.0, -1.0, math.nan):
-            with pytest.raises(InvalidWeightError):
-                ex.likelihood_ratio_weight(ctx, bad)

@@ -20,7 +20,6 @@ class TestPresetCatalog:
 
         t3 = ex.preset_model("table3")
         assert t3.constant_mean is None
-        assert t3.mean_lipschitz == pytest.approx(math.hypot(0.1, 0.1))
 
         t4 = ex.preset_model("table4")
         assert t4.regularity.alpha1 == 1.0

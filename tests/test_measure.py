@@ -118,6 +118,16 @@ class TestSampleTau:
                 se = coord.std(ddof=1) / math.sqrt(coord.size)
                 assert coord.mean() > 0.5 + 4.0 * se
 
+    def test_grid_sampler_agrees_on_mean_shift(self, trend_model):
+        # the grid is the only proposal; a second stream sees the same shift
+        ctx = ex.measure_context(trend_model, 8.0)
+        assert ctx.grid_shape == (64, 64)
+        draws = ex.sample_tau(trend_model, ctx, np.random.default_rng(6), size=10000)
+        for axis in range(2):
+            coord = draws[:, axis]
+            se = coord.std(ddof=1) / math.sqrt(coord.size)
+            assert coord.mean() > 0.5 + 4.0 * se
+
     def test_scalar_draw_shape_and_support(self, trend_model):
         ctx = ex.measure_context(trend_model, 4.0)
         tau = ex.sample_tau(trend_model, ctx, np.random.default_rng(7))

@@ -156,7 +156,7 @@ class IntegrandSpec:
         return (self.lower, self.upper)
 
 
-# Byte budget of one block's (B, m, m + 1) covariance buffer; it sets B.
+# Byte budget of one block's (B, m + 1, m) covariance buffer; it sets B.
 _BLOCK_BYTES = 1 << 20
 
 

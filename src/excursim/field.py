@@ -184,8 +184,14 @@ def _pairwise_dist(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
 
     Stacked inputs (B, n, d) and (B, k, d) give (B, n, k), pairing the sets
     along the leading axis; the squares are summed axis by axis in cdist's
-    order, so each matrix is bit-equal to cdist of its pair.
+    order, so each matrix is bit-equal to cdist of its pair.  In one
+    dimension the distance is |s - t| (subtract, then abs), which in IEEE
+    arithmetic equals cdist's sqrt((s - t)**2) bit for bit unless (s - t)**2
+    underflows (|s - t| below about 1e-154) or overflows.
     """
+    if a.shape[-1] == 1:
+        h = np.subtract(a[..., :, None, 0], b[..., None, :, 0], out=out)
+        return np.abs(h, out=h)
     if a.ndim == 2:
         return cdist(a, b, out=out)
     h = np.subtract(a[..., :, None, 0], b[..., None, :, 0], out=out)
@@ -217,7 +223,8 @@ class PowerExponential:
 
     def __call__(self, a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
         h = _pairwise_dist(a, b, out=out)
-        h /= self.ell
+        if self.ell != 1.0:
+            h /= self.ell
         if self.shape == 2.0:
             np.multiply(h, h, out=h)
         elif self.shape != 1.0:
@@ -326,8 +333,10 @@ class FieldModel:
     (n, k) correlation matrix.  When ``out`` is given (a C-contiguous float
     array of that shape) the kernel writes the matrix into it and returns it;
     the conditional sampler passes a buffer it reuses across draws.  The
-    conditional covariance is not symmetrized: its factorization reads only
-    the lower triangle, and the built-in kernels are exactly symmetric.  A
+    conditional covariance is not symmetrized: it is the first n rows of
+    ``kernel(concat(points, tau), points)``, its factorization reads only its
+    upper triangle, and the built-in kernels are exactly symmetric, so that
+    triangle equals the lower one bit for bit.  A
     kernel whose ``stacked`` attribute is true also maps stacked point sets
     (B, n, d) and (B, k, d) to the (B, n, k) matrices of each pair in one
     call; any other kernel is called once per pair.
@@ -417,6 +426,14 @@ _INDEFINITE_TOL = 1e-6
 
 
 @functools.lru_cache(maxsize=4)
+def _strict_upper(n: int) -> np.ndarray:
+    """Fortran-ordered (n, n) mask of the strict upper triangle."""
+    mask = np.asfortranarray(np.triu(np.ones((n, n), dtype=bool), 1))
+    mask.flags.writeable = False
+    return mask
+
+
+@functools.lru_cache(maxsize=4)
 def _probe(n: int) -> np.ndarray:
     """Fixed pseudo-random weights in [0.5, 1.5) for the residual probe."""
     v = np.random.default_rng(0).uniform(0.5, 1.5, n)
@@ -433,13 +450,17 @@ def factor_psd(matrix, work=None) -> tuple[np.ndarray, float]:
     put back in the original order.  Rows whose covariance is exactly zero
     are never pivoted, so their factor rows are exactly zero.  The second
     return value, the ridge added to the diagonal, is always 0.0; it is kept
-    for callers that unpack (factor, ridge).  LAPACK reads only the lower
-    triangle of ``matrix``.
+    for callers that unpack (factor, ridge).
 
-    ``matrix`` is never modified.  It is copied into ``work``, an (n, n)
-    Fortran-ordered float buffer (allocated when None), and factored there in
-    place; the returned factor may alias ``work``, so it is valid only until
-    ``work`` is reused.
+    ``matrix`` is never modified.  Its transpose is copied into ``work``, an
+    (n, n) Fortran-ordered float buffer (allocated when None), and factored
+    there in place; for a C-ordered matrix the copy is a plain memcpy.
+    LAPACK reads the lower triangle of ``work``, which is the upper triangle
+    of ``matrix``; the covariances of the built-in kernels are exactly
+    symmetric, so either triangle gives the same bits.
+    LAPACK leaves the other triangle as it was; the Cholesky factor's strict
+    upper triangle is then set to +0.0 in one masked pass.  The returned
+    factor may alias ``work``, so it is valid only until ``work`` is reused.
 
     :class:`SingularModelError` is raised when the matrix is indefinite
     beyond rounding: after the pivoted factorization, a residual diagonal
@@ -457,11 +478,12 @@ def factor_psd(matrix, work=None) -> tuple[np.ndarray, float]:
     n = a.shape[0]
     if work is None:
         work = np.empty((n, n), order="F")
-    work[...] = a
-    lower, info = dpotrf(work, lower=1, overwrite_a=1)
+    np.copyto(work.T, a)
+    lower, info = dpotrf(work, lower=1, clean=0, overwrite_a=1)
     if info == 0:
+        np.copyto(lower, 0.0, where=_strict_upper(n))
         return lower, 0.0
-    work[...] = a
+    np.copyto(work.T, a)
     pivoted, piv, rank, _ = dpstrf(work, lower=1, overwrite_a=1)
     lower = np.tril(pivoted[:, :rank])
     errors = _residual_errors(a[None], lower.T[None], piv[None] - 1, [rank])
@@ -523,6 +545,11 @@ def sample_joint(model: FieldModel, points, rng) -> np.ndarray:
 # Conditioning on a single observation
 # ---------------------------------------------------------------------------
 
+# Rows of the covariance that conditional_moments scales per step; a
+# (32, n) scratch array holds their products, so no (n, n) one is needed.
+_CHUNK_ROWS = 32
+
+
 def conditional_moments(model: FieldModel, tau, value_at_tau: float, points, out=None):
     """Mean and covariance of the field at ``points`` given f(tau) = value.
 
@@ -531,8 +558,11 @@ def conditional_moments(model: FieldModel, tau, value_at_tau: float, points, out
 
     Rows for points exactly equal to tau are pinned: mean = value, cov = 0.
     Returns (mean, cov, tau_mask).  The covariance is assembled in place in
-    ``out``, an (n, n + 1) C-ordered float buffer (allocated when None), and
-    ``cov`` is its view ``out[:, :n]``.
+    ``out``, an (n + 1, n) C-ordered float buffer (allocated when None), by
+    one kernel call ``kernel(concat(points, tau), points)``: ``cov`` is the
+    C-contiguous view ``out[:n]`` and row n holds r(tau, t_j).  The scaling
+    and the rank-one term are applied a few rows at a time, so no (n, n)
+    temporary is allocated.
     """
     tau = as_points(tau, model.dimension)
     pts = as_points(points, model.dimension)
@@ -542,15 +572,19 @@ def conditional_moments(model: FieldModel, tau, value_at_tau: float, points, out
     sig = model.std_at(pts)
     sig_tau = float(model.std_at(tau)[0])
     mu_tau = float(model.mean_at(tau)[0])
-    # one kernel evaluation: the last column is r(t_i, tau)
-    corr = model.corr(pts, np.concatenate([pts, tau]), out=out)
-    r_tau = corr[:, n]
+    # one kernel evaluation: the last row is r(tau, t_j)
+    corr = model.corr(np.concatenate([pts, tau]), pts, out=out)
+    r_tau = corr[n]
     mean = model.mean_at(pts) + (sig / sig_tau) * r_tau * (value_at_tau - mu_tau)
     proj = sig * r_tau
-    cov = corr[:, :n]
-    if model.constant_std != 1.0:
-        cov *= np.outer(sig, sig)
-    cov -= np.outer(proj, proj)
+    cov = corr[:n]
+    step = np.empty((min(n, _CHUNK_ROWS), n))
+    for lo in range(0, n, _CHUNK_ROWS):
+        rows = cov[lo:lo + _CHUNK_ROWS]
+        part = step[:rows.shape[0]]
+        if model.constant_std != 1.0:
+            rows *= np.multiply.outer(sig[lo:lo + _CHUNK_ROWS], sig, out=part)
+        rows -= np.multiply.outer(proj[lo:lo + _CHUNK_ROWS], proj, out=part)
     mask = np.all(pts == tau, axis=1)
     if mask.any():
         mean[mask] = value_at_tau
@@ -575,7 +609,7 @@ def _conditional_draw(model: FieldModel, tau, value_at_tau: float, points, rng):
     n = pts.shape[0]
     buffers = getattr(_draw_buffers, "pair", None)
     if buffers is None or buffers[1].shape[0] != n:
-        buffers = _draw_buffers.pair = (np.empty((n, n + 1)), np.empty((n, n), order="F"))
+        buffers = _draw_buffers.pair = (np.empty((n + 1, n)), np.empty((n, n), order="F"))
     assembly, work = buffers
     mean, cov, _ = conditional_moments(model, tau, value_at_tau, pts, out=assembly)
     factor, _ = factor_psd(cov, work)
@@ -591,7 +625,7 @@ def sample_conditional(model: FieldModel, tau, value_at_tau: float, points, rng)
     return values
 
 
-# Per-thread buffers of _conditional_draw_block: the (B, m, m + 1) assembly
+# Per-thread buffers of _conditional_draw_block: the (B, m + 1, m) assembly
 # and the (B, m, m) factors, grown when a block needs more rows and replaced
 # when m changes.
 _block_buffers = threading.local()
@@ -600,7 +634,7 @@ _block_buffers = threading.local()
 def _block_buffer_pair(size: int, m: int):
     pair = getattr(_block_buffers, "pair", None)
     if pair is None or pair[1].shape[1] != m or pair[1].shape[0] < size:
-        pair = _block_buffers.pair = (np.empty((size, m, m + 1)), np.empty((size, m, m)))
+        pair = _block_buffers.pair = (np.empty((size, m + 1, m)), np.empty((size, m, m)))
     return pair[0][:size], pair[1][:size]
 
 
@@ -625,11 +659,14 @@ def _conditional_draw_block(model: FieldModel, taus: np.ndarray, values_at_tau: 
     order, as one draw each would.
 
     A block of one is :func:`_conditional_draw`.  Larger blocks assemble all
-    covariances in one (B, m, m + 1) buffer, with one kernel call for a
-    stacked kernel and one finite check, factor each with ``dpotrf``, else
-    ``dpstrf`` (as :func:`factor_psd`), run the indefiniteness test of every
-    pivoted factor as one batched evaluation, and draw with the factors
-    zero-padded to (m, m).
+    covariances in one (B, m + 1, m) buffer in the layout of
+    :func:`conditional_moments` (row m of matrix i is r(tau_i, t_ij)), with
+    one kernel call for a stacked kernel and one finite check, scale them
+    through the still unused factor buffer, copy them untransposed into it,
+    factor each with ``dpotrf``, else ``dpstrf`` (as :func:`factor_psd`,
+    reading the upper triangle of each covariance), run the indefiniteness
+    test of every pivoted factor as one batched evaluation, and draw with the
+    factors zero-padded to (m, m).
     """
     size, m, d = points.shape
     if size == 1:
@@ -645,17 +682,17 @@ def _conditional_draw_block(model: FieldModel, taus: np.ndarray, values_at_tau: 
     sig = model.std_at(flat).reshape(size, m)
     sig_tau = model.std_at(taus)
     mu_tau = model.mean_at(taus)
-    # one kernel evaluation per block: the last column of row i is r(t_ij, tau_i)
-    corr = _stacked_corr(model, points, np.concatenate([points, taus[:, None, :]], axis=1),
+    # one kernel evaluation per block: the last row of matrix i is r(tau_i, t_ij)
+    corr = _stacked_corr(model, np.concatenate([points, taus[:, None, :]], axis=1), points,
                          assembly)
     finite = np.isfinite(corr).all(axis=(1, 2))
     errors = {int(i): ModelEvaluationError("correlation function returned a non-finite value")
               for i in np.flatnonzero(~finite)}
     corr[~finite] = 0.0
-    r_tau = corr[:, :, m]
+    r_tau = corr[:, m]
     mean = (model.mean_at(flat).reshape(size, m)
             + (sig / sig_tau[:, None]) * r_tau * (values_at_tau - mu_tau)[:, None])
-    cov = corr[:, :, :m]
+    cov = corr[:, :m]
     if model.constant_std != 1.0:
         cov *= np.einsum("bi,bj->bij", sig, sig, out=work)
     proj = sig * r_tau
@@ -665,9 +702,10 @@ def _conditional_draw_block(model: FieldModel, taus: np.ndarray, values_at_tau: 
         cov[i, j, :] = 0.0
         cov[i, :, j] = 0.0
 
-    # work[i].T is Fortran-ordered, so LAPACK factors it in place; it then
-    # holds the lower factor L_i, and work[i] holds L_i^T.
-    np.copyto(work, cov.transpose(0, 2, 1))
+    # work[i].T is Fortran-ordered, so LAPACK factors it in place, reading
+    # the upper triangle of cov[i]; it then holds the lower factor L_i, and
+    # work[i] holds L_i^T.  The mask below zeroes what LAPACK left untouched.
+    np.copyto(work, cov)
     rank = np.full(size, m)
     order = np.broadcast_to(np.arange(m), (size, m)).copy()  # row order of each factor
     pivoted = []
@@ -676,8 +714,8 @@ def _conditional_draw_block(model: FieldModel, taus: np.ndarray, values_at_tau: 
             rank[i] = 0
             continue
         lower = work[i].T
-        if dpotrf(lower, lower=1, overwrite_a=1)[1]:
-            lower[...] = cov[i]
+        if dpotrf(lower, lower=1, clean=0, overwrite_a=1)[1]:
+            work[i] = cov[i]
             _, piv, rank[i], _ = dpstrf(lower, lower=1, overwrite_a=1)
             order[i] = piv - 1
             pivoted.append(i)

@@ -6,6 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.spatial.distance import cdist
 
 import excursim as ex
 from excursim.errors import ModelEvaluationError, SingularModelError
@@ -120,6 +121,32 @@ class TestCovMatrix:
         for i in range(4):
             assert np.array_equal(buf[i], kernel(a[i], b[i]))
 
+    @pytest.mark.parametrize("ell", [1.0, 0.3])
+    @pytest.mark.parametrize("kernel", [ex.SquaredExponential, ex.Exponential,
+                                        lambda ell: ex.PowerExponential(1.5, ell)],
+                             ids=["sqexp", "exponential", "powerexp1.5"])
+    def test_one_dimensional_kernel_matches_cdist_reference(self, kernel, ell, rng):
+        # reference: distances from cdist, then the kernel's own steps
+        kernel = kernel(ell)
+
+        def reference(a, b):
+            h = cdist(a, b) / ell
+            if kernel.shape == 2.0:
+                h = h * h
+            elif kernel.shape != 1.0:
+                h = h ** kernel.shape
+            return np.exp(-h)
+
+        size, n = 3, 40
+        pts = 0.4 + rng.standard_t(3, (size, n, 1)) / 20.0
+        taus = rng.random((size, 1, 1))
+        pts[:, 5] = taus[:, 0]  # tau itself is one of the points
+        rows = np.concatenate([pts, taus], axis=1)
+        assert np.array_equal(kernel(rows[0], pts[0]), reference(rows[0], pts[0]))
+        stacked = kernel(rows, pts, out=np.full((size, n + 1, n), np.nan))
+        for i in range(size):
+            assert np.array_equal(stacked[i], reference(rows[i], pts[i]))
+
     def test_positive_semidefinite_random_points(self, smooth_model, rng):
         pts = rng.random((40, 2))
         eig = np.linalg.eigvalsh(ex.cov_matrix(smooth_model, pts))
@@ -195,6 +222,32 @@ class TestFactorPsd:
     def test_zero_matrix_factors_exactly(self):
         lower, ridge = ex.factor_psd(np.zeros((3, 3)))
         assert ridge == 0.0 and not lower.any()
+
+    @pytest.mark.parametrize("full_rank", [True, False], ids=["dpotrf", "dpstrf"])
+    def test_factor_is_bit_equal_for_any_memory_layout(self, full_rank, rng):
+        n = 60
+        if full_rank:
+            b = rng.standard_normal((n, n))
+            a = b @ b.T / n + np.eye(n)
+            a = 0.5 * (a + a.T)
+            assert (a < 0.0).any()  # a factor scaled by a triangular mask would show -0.0
+        else:
+            model = ex.FieldModel(ex.BoxDomain([0.0], [1.0]), ex.SquaredExponential())
+            _, a, _ = ex.conditional_moments(model, [0.4], 6.0,
+                                             0.4 + rng.standard_t(3, (n, 1)) / 20.0)
+            a = a.copy()
+        assert np.array_equal(a, a.T)
+        padded = np.zeros((2 * n, 3 * n))
+        padded[::2, ::3] = a
+        views = [a, np.asfortranarray(a), padded[::2, ::3], padded[::2, ::3].T]
+        factors = [ex.factor_psd(view)[0].copy() for view in views]
+        factors.append(ex.factor_psd(a, np.full((n, n), np.nan, order="F"))[0])
+        assert (factors[0].shape[1] == n) == full_rank
+        for factor in factors[1:]:
+            assert np.array_equal(factor, factors[0])
+        if full_rank:
+            upper = factors[0][np.triu_indices(n, 1)]
+            assert np.all(upper == 0.0) and not np.signbit(upper).any()
 
     def test_reconstruction_on_random_psd(self, rng):
         for n in (5, 40, 200):
@@ -322,7 +375,7 @@ class TestConditional:
         n = 60
         pts = 0.4 + rng.standard_t(3, (n, 1)) / 20.0
         mean, cov, mask = ex.conditional_moments(model, [0.4], 5.0, pts)
-        out = np.full((n, n + 1), np.nan)
+        out = np.full((n + 1, n), np.nan)
         b_mean, b_cov, b_mask = ex.conditional_moments(model, [0.4], 5.0, pts, out=out)
         assert np.shares_memory(b_cov, out)
         assert np.array_equal(b_mean, mean) and np.array_equal(b_mask, mask)
@@ -365,10 +418,14 @@ class TestConditional:
         assert np.allclose(values, [v for v, _ in single], rtol=1e-12, atol=1e-12)
         assert values[4, 7] == values_at_tau[4]
 
-    def test_steady_state_draw_allocates_no_square_matrix(self):
+    @pytest.mark.parametrize("kernel, full_rank", [
+        pytest.param(ex.SquaredExponential(), False, id="sqexp"),
+        pytest.param(ex.Exponential(), True, id="exponential")])
+    def test_steady_state_draw_allocates_no_square_matrix(self, kernel, full_rank):
+        # sqexp takes the dpstrf route, exponential the dpotrf one
         from excursim.field import _conditional_draw
 
-        model = ex.FieldModel(ex.BoxDomain([0.0], [1.0]), ex.SquaredExponential())
+        model = ex.FieldModel(ex.BoxDomain([0.0], [1.0]), kernel)
         m = 320
         rng = np.random.default_rng(5)
         pts = 0.4 + rng.standard_t(3, (m, 1)) / 20.0
@@ -376,11 +433,12 @@ class TestConditional:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            _conditional_draw(model, [0.4], 6.0, pts, rng)
+            _, rank = _conditional_draw(model, [0.4], 6.0, pts, rng)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * 8 * m * m
+        assert (rank == m) == full_rank
+        assert peak < 0.5 * 8 * m * m
 
     def test_threads_keep_their_own_buffers(self, smooth_model):
         point_sets = [np.random.default_rng(i).random((50, 2)) for i in range(40)]

@@ -18,15 +18,12 @@ from .design import (
 from .engine import (
     EstimateReport,
     IntegrandSpec,
-    Replicate,
     aggregate,
     estimate_conditional,
     estimate_pickands,
     estimate_tail,
     estimate_tail_and_excursion,
     pickands_estimate,
-    run_integral_replicate,
-    run_tail_replicate,
 )
 from .errors import (
     ConfigurationError,

@@ -173,14 +173,11 @@ def build_config(base: dict, overrides: dict) -> ExperimentConfig:
         if value is not None:
             merged[key] = value
     merged = {k: _coerce(k, v) for k, v in merged.items()}
-    model = merged.pop("model", None)
+    merged.pop("model", None)  # a preset's builder; config_model rebuilds it by name
     try:
-        config = ExperimentConfig(**merged)
+        return ExperimentConfig(**merged)
     except TypeError as exc:
         raise ConfigurationError(str(exc)) from exc
-    if model is not None:
-        config._preset_model = model  # builder kept off the dataclass fields
-    return config
 
 
 def table_config(source: str, overrides: dict) -> ExperimentConfig:
@@ -281,9 +278,6 @@ def parse_mean(spec: str):
 
 
 def config_model(config: ExperimentConfig) -> FieldModel:
-    builder = getattr(config, "_preset_model", None)
-    if builder is not None:
-        return builder()
     if config.experiment is not None:
         return preset_model(config.experiment)
     if config.kernel is None or config.domain is None:

@@ -177,7 +177,7 @@ class DesignDensity:
 
 @dataclass(frozen=True)
 class DesignDraw:
-    """Design points around tau with their recorded densities.
+    """Design points around tau with their recorded log densities.
 
     A single draw has points (m, d); a block of B draws stacks them along a
     leading axis, points (B, m, d), and ``draw[i]`` is draw i.  Points may
@@ -187,7 +187,6 @@ class DesignDraw:
 
     points: np.ndarray       # (..., m, d)
     log_density: np.ndarray  # (..., m) log of zeta^d k(zeta (t_i - tau))
-    density: np.ndarray      # (..., m)
     inside: np.ndarray       # (..., m) bool
     tau: np.ndarray          # (..., d)
     zeta: float
@@ -198,8 +197,7 @@ class DesignDraw:
 
     def __getitem__(self, i) -> "DesignDraw":
         return DesignDraw(points=self.points[i], log_density=self.log_density[i],
-                          density=self.density[i], inside=self.inside[i], tau=self.tau[i],
-                          zeta=self.zeta)
+                          inside=self.inside[i], tau=self.tau[i], zeta=self.zeta)
 
 
 def sample_design_block(taus, zeta: float, m: int, density: DesignDensity,
@@ -208,8 +206,8 @@ def sample_design_block(taus, zeta: float, m: int, density: DesignDensity,
     (B, d), with s_ij from the base density; returns a stacked draw.
 
     The radii of all B * m points are drawn first, then their directions, so
-    a block of one consumes the stream as a single draw does.  Recorded
-    density values are zeta^d k(zeta (t_ij - tau_i)), evaluated on the stored
+    a block of one consumes the stream as a single draw does.  Recorded log
+    densities are log(zeta^d k(zeta (t_ij - tau_i))), evaluated on the stored
     points so the identity holds bit-exactly.
     """
     if m < 1:
@@ -223,8 +221,8 @@ def sample_design_block(taus, zeta: float, m: int, density: DesignDensity,
     flat = (zeta * (points - taus[:, None, :])).reshape(-1, d)
     log_k = (d * math.log(zeta) + density.log_pdf(flat)).reshape(size, m)
     inside = domain.contains(points.reshape(-1, d)).reshape(size, m)
-    return DesignDraw(points=points, log_density=log_k, density=np.exp(log_k),
-                      inside=inside, tau=taus, zeta=float(zeta))
+    return DesignDraw(points=points, log_density=log_k, inside=inside, tau=taus,
+                      zeta=float(zeta))
 
 
 def sample_design_points(tau, zeta: float, m: int, density: DesignDensity,

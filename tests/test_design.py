@@ -125,8 +125,8 @@ class TestSampleDesignPoints:
         density = ex.DesignDensity(2, 4, 0.625)
         expected = np.exp(2 * math.log(draw.zeta)
                           + density.log_pdf(draw.zeta * (draw.points - draw.tau)))
-        assert np.array_equal(draw.density, expected)
-        assert (draw.density > 0.0).all() and np.isfinite(draw.density).all()
+        assert np.array_equal(np.exp(draw.log_density), expected)
+        assert (np.exp(draw.log_density) > 0.0).all() and np.isfinite(draw.log_density).all()
 
     def test_doubling_zeta_halves_offsets_exactly(self):
         # tau = 0 so points are the raw scaled offsets themselves and the
@@ -174,7 +174,7 @@ class TestVolumeEstimators:
     def test_single_point_reciprocal_density(self, rng):
         draw = self._ball_draw(rng, m=1)
         values = np.array([2.0])
-        expected = (1.0 / draw.density[0]) if draw.inside[0] else 0.0
+        expected = (1.0 / np.exp(draw.log_density[0])) if draw.inside[0] else 0.0
         assert ex.mes_hat(values, 1.0, draw) == pytest.approx(expected, rel=1e-12)
 
     def test_ball_indicator_unbiased(self):

@@ -9,6 +9,7 @@ import pytest
 
 import excursim as ex
 import excursim.engine as engine
+import excursim.field as field
 from excursim.engine import _Block, _draw_block, _run_blocks, block_size
 from excursim.errors import (
     ConfigurationError,
@@ -35,7 +36,25 @@ def cosine_setup(cosine_model):
     }
 
 
+def _block_rows(s, m, integrand, size, seed):
+    """A block drawn on stream ``seed``, the values f(tau) it drew (replayed
+    from the same stream) and its hit indicators."""
+    model, ctx = s["model"], s["ctx"]
+    block = _draw_block(model, ctx, s["scales"], s["density"], m, integrand, size,
+                        np.random.default_rng(seed))
+    replay = np.random.default_rng(seed)
+    taus = ex.sample_tau(model, ctx, replay, size=size)
+    values_at_tau = ex.sample_truncated_tail(model.mean_at(taus), model.std_at(taus),
+                                             ctx.gamma, replay, size=size)
+    assert np.array_equal(taus, block.draws.tau)
+    assert block.errors == {}
+    hits = np.any((block.field_values > ctx.b) & block.draws.inside, axis=1)
+    return block, values_at_tau, hits
+
+
 class TestReplicates:
+    # every check runs on blocks of one and on blocks of block_size(m)
+
     def test_tail_replicate_invariants(self, cosine_setup, smooth_model):
         # constant marginals: the proposal is the tau density, so z = I_gamma / mes
         b = 4.0
@@ -44,53 +63,45 @@ class TestReplicates:
             "scales": ex.cluster_scale(smooth_model, b),
             "density": ex.preset_density("table2")}, 40)]
         for s, m in setups:
-            for i in range(800):
-                rng = np.random.default_rng((101, i))
-                rep = ex.run_tail_replicate(s["model"], s["ctx"], s["scales"],
-                                            s["density"], m, rng, stream=i)
-                assert rep.value_at_tau > s["ctx"].gamma
-                assert rep.z_hat >= 0.0
-                assert rep.mes >= 0.0
-                assert rep.stream == i
-                if rep.indicator:
-                    assert rep.mes > 0.0
-                    expected = s["ctx"].norm_integral / rep.mes
-                    assert rep.z_hat == pytest.approx(expected, rel=1e-12)
-                else:
-                    assert rep.z_hat == 0.0
+            for size in (1, block_size(m)):
+                for i in range(-(-800 // size)):
+                    block, values_at_tau, hits = _block_rows(s, m, None, size, (101, size, i))
+                    assert (values_at_tau > s["ctx"].gamma).all()
+                    assert (block.mes >= 0.0).all()
+                    assert (block.mes[hits] > 0.0).all()
+                    expected = s["ctx"].norm_integral / block.mes[hits]
+                    assert np.allclose(np.exp(block.log_z[hits]), expected, rtol=1e-12, atol=0.0)
+                    assert (block.log_z[~hits] == -np.inf).all()
 
     def test_integral_replicate_pairing(self, cosine_setup):
         s = cosine_setup
         integrand = ex.IntegrandSpec.constant(1.0, s["model"])
-        seen_positive = False
-        for i in range(400):
-            rng = np.random.default_rng((202, i))
-            rep = ex.run_integral_replicate(s["model"], s["ctx"], s["scales"],
-                                            s["density"], 20, integrand, rng)
-            assert rep.y_hat is not None and rep.y_hat >= 0.0
-            if rep.y_hat > 0.0:
-                seen_positive = True
-                assert rep.indicator and rep.mes > 0.0
-        assert seen_positive
+        for size in (1, block_size(20)):
+            seen_positive = False
+            for i in range(-(-400 // size)):
+                block, _, hits = _block_rows(s, 20, integrand, size, (202, size, i))
+                positive = block.log_y > -np.inf
+                assert (np.exp(block.log_y) >= 0.0).all()
+                assert (hits[positive] & (block.mes[positive] > 0.0)).all()
+                seen_positive = seen_positive or positive.any()
+            assert seen_positive
 
     def test_constant_integrand_scales_y_linearly(self, cosine_setup):
         s = cosine_setup
         one = ex.IntegrandSpec.constant(1.0, s["model"])
         three = ex.IntegrandSpec.constant(3.0, s["model"])
-        a = ex.run_integral_replicate(s["model"], s["ctx"], s["scales"], s["density"],
-                                      20, one, np.random.default_rng((7, 0)))
-        b = ex.run_integral_replicate(s["model"], s["ctx"], s["scales"], s["density"],
-                                      20, three, np.random.default_rng((7, 0)))
-        assert b.z_hat == a.z_hat
-        assert b.y_hat == pytest.approx(3.0 * a.y_hat, rel=1e-12)
+        for size in (1, block_size(20)):
+            a, _, _ = _block_rows(s, 20, one, size, (7, 0))
+            b, _, _ = _block_rows(s, 20, three, size, (7, 0))
+            assert np.array_equal(b.log_z, a.log_z)
+            assert np.allclose(np.exp(b.log_y), 3.0 * np.exp(a.log_y), rtol=1e-12, atol=0.0)
 
     def test_rank_recorded(self, cosine_setup):
         # the cosine kernel is rank two, so conditional covariances of 20
         # points are rank one
-        s = cosine_setup
-        rep = ex.run_tail_replicate(s["model"], s["ctx"], s["scales"], s["density"],
-                                    20, np.random.default_rng((9, 0)))
-        assert rep.rank == 1
+        for size in (1, block_size(20)):
+            block, _, _ = _block_rows(cosine_setup, 20, None, size, (9, 0))
+            assert (block.rank == 1).all()
 
 
 class TestIntegrandSpec:
@@ -304,18 +315,20 @@ class TestBlocks:
     def test_only_blocks_of_one_call_the_single_draw_routines(self, monkeypatch, m, expected):
         # per-call instrumentation of these names sees one call per replicate
         # where a block is one replicate, and blocks pass no arrays through them
+        # the names the benchmark's tracer patches
+        patched = [(engine, name) for name in ("sample_design_points", "mes_hat", "alpha_hat")]
+        patched += [(field, name) for name in ("conditional_moments", "factor_psd")]
         calls = collections.Counter()
-        for name in ("sample_design_points", "mes_hat", "alpha_hat"):
-            def counted(*args, _name=name, _original=getattr(engine, name), **kwargs):
+        for module, name in patched:
+            def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
                 calls[_name] += 1
                 return _original(*args, **kwargs)
-            monkeypatch.setattr(engine, name, counted)
+            monkeypatch.setattr(module, name, counted)
         model = ex.FieldModel(ex.BoxDomain([0.0], [1.0]), ex.SquaredExponential())
         ex.estimate_tail_and_excursion(model, 4.0, 5, m, density=ex.DesignDensity(1, 3, 1.0),
                                        seed=1, workers=1)
         assert block_size(m) == (1 if expected else 79)
-        assert calls == collections.Counter(
-            {name: expected for name in ("sample_design_points", "mes_hat", "alpha_hat")})
+        assert calls == collections.Counter({name: expected for _, name in patched})
 
     def test_threads_keep_their_own_block_buffers(self, smooth_model):
         # six blocks of 79 on four threads, switching as often as possible

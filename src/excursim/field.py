@@ -179,6 +179,19 @@ class RegularityParams:
 # Correlation kernels
 # ---------------------------------------------------------------------------
 
+def _pairwise_diff(a: np.ndarray, b: np.ndarray, axis: int, out=None) -> np.ndarray:
+    """Coordinate differences a[..., i, axis] - b[..., j, axis] as (..., n, k).
+
+    The rows are first filled with b by a contiguous copy and then subtracted
+    in place: the same bits as the broadcast subtract, which runs at about
+    1.5-2 ns per element against well under 1 ns for the copy.
+    """
+    if out is None:
+        out = np.empty(a.shape[:-1] + b.shape[-2:-1])
+    out[...] = b[..., None, :, axis]
+    return np.subtract(a[..., :, None, axis], out, out=out)
+
+
 def _pairwise_dist(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
     """Euclidean distances between the rows of ``a`` and ``b``.
 
@@ -190,14 +203,14 @@ def _pairwise_dist(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
     underflows (|s - t| below about 1e-154) or overflows.
     """
     if a.shape[-1] == 1:
-        h = np.subtract(a[..., :, None, 0], b[..., None, :, 0], out=out)
+        h = _pairwise_diff(a, b, 0, out)
         return np.abs(h, out=h)
     if a.ndim == 2:
         return cdist(a, b, out=out)
-    h = np.subtract(a[..., :, None, 0], b[..., None, :, 0], out=out)
+    h = _pairwise_diff(a, b, 0, out)
     np.multiply(h, h, out=h)
     for axis in range(1, a.shape[-1]):
-        step = np.subtract(a[..., :, None, axis], b[..., None, :, axis])
+        step = _pairwise_diff(a, b, axis)
         np.multiply(step, step, out=step)
         h += step
     return np.sqrt(h, out=h)
@@ -278,7 +291,7 @@ class CosineProcess:
     stacked = True
 
     def __call__(self, a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
-        h = np.subtract(a[..., :, None, 0], b[..., None, :, 0], out=out)
+        h = _pairwise_diff(a, b, 0, out)
         return np.cos(h, out=h)
 
     @property

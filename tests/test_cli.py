@@ -15,6 +15,7 @@ from excursim.cli import (
     parse_mean,
     table_config,
 )
+from excursim.engine import block_size
 from excursim.errors import ConfigurationError
 
 
@@ -145,7 +146,9 @@ class TestTableCommand:
         assert first == second
 
     def test_worker_count_does_not_change_bytes(self, capsys):
-        base = ["table", "table1", "--n", "60", "--m", "10", "--b", "3"]
+        # blocks of block_size(64) = 31: n = 100 spans four blocks
+        assert block_size(64) < 100 // 2
+        base = ["table", "table1", "--n", "100", "--m", "64", "--b", "3"]
         _, one = run_cli(base + ["--workers", "1"], capsys)
         _, four = run_cli(base + ["--workers", "4"], capsys)
         assert one == four

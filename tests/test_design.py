@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import fdtri
 
 import excursim as ex
 from excursim.errors import ConfigurationError, IntegrandBoundsError, InvalidLevelError
@@ -99,9 +100,9 @@ class TestDesignDensity:
             assert radial_mass(density.median_radius) == pytest.approx(0.5, abs=1e-8)
 
     def test_radius_cdf_inverts_ppf(self):
-        density = ex.DesignDensity(2, 4, 0.625)
-        for u in (0.01, 0.3, 0.5, 0.9, 0.999):
-            assert float(density.radius_cdf(density.radius_ppf(u))) == pytest.approx(u, rel=1e-10)
+        for density in (ex.DesignDensity(2, 4, 0.625), ex.DesignDensity(1, 3, 1.0)):
+            for u in (1e-12, 0.01, 0.3, 0.5, 0.9, 0.999, 1.0 - 1e-12):
+                assert float(density.radius_cdf(density.radius_ppf(u))) == pytest.approx(u, rel=1e-10)
 
     def test_one_dimensional_matches_student_t(self, rng):
         from scipy import stats
@@ -110,6 +111,59 @@ class TestDesignDensity:
         assert np.allclose(density.pdf(x), stats.t.pdf(x[:, 0], 3), rtol=1e-12)
         draws = density.sample(rng, 20000)[:, 0]
         assert stats.kstest(draws, lambda v: stats.t.cdf(v, 3)).pvalue > 0.01
+
+
+class TestRadiusPpf:
+    """The default 1-d density inverts the closed-form CDF of |t_3|; every
+    other density keeps sqrt(d * fdtri(d, dof, u))."""
+
+    ULP_TOLERANCE = 16
+
+    @staticmethod
+    def _grid():
+        k = np.arange(1, 54, dtype=float)
+        return np.unique(np.concatenate([
+            np.random.default_rng(2024).random(100_000),
+            np.arange(2 ** 16) / 2.0 ** 16,
+            2.0 ** -k,
+            1.0 - 2.0 ** -k,
+            [0.0],
+        ]))
+
+    def test_one_dimensional_radius_matches_fdtri_reference(self):
+        u = self._grid()
+        radii = ex.DesignDensity(1).radius_ppf(u)
+        reference = np.sqrt(fdtri(1, 3, u))
+        assert radii[u == 0.0][0] == 0.0 and reference[u == 0.0][0] == 0.0
+        positive = reference > 0.0
+        ulps = np.abs(radii - reference)[positive] / np.spacing(reference[positive])
+        assert ulps.max() <= self.ULP_TOLERANCE
+        assert np.all(np.diff(radii) >= 0.0)
+
+    def test_scalar_input_and_scale(self):
+        median = ex.DesignDensity(1, 3, 1.0).median_radius
+        reference = float(np.sqrt(fdtri(1, 3, 0.5)))
+        assert abs(median - reference) <= self.ULP_TOLERANCE * np.spacing(reference)
+        u = self._grid()[::97]
+        assert np.array_equal(ex.DesignDensity(1, 3, 2.0).radius_ppf(u),
+                              2.0 * ex.DesignDensity(1, 3, 1.0).radius_ppf(u))
+
+    @pytest.mark.parametrize("dim,dof,scale", [(2, 4, 0.625), (1, 4, 1.0), (1, 5, 0.5), (3, 3, 2.0)])
+    def test_other_densities_keep_fdtri_bit_for_bit(self, dim, dof, scale):
+        u = self._grid()
+        expected = scale * np.sqrt(dim * fdtri(dim, float(dof), u))
+        assert np.array_equal(ex.DesignDensity(dim, dof, scale).radius_ppf(u), expected)
+
+    def test_sample_consumes_the_stream_as_the_fdtri_draw(self):
+        rng = np.random.default_rng(77)
+        draws = ex.DesignDensity(1).sample(rng, 320)[:, 0]
+        ref_rng = np.random.default_rng(77)
+        radii = np.sqrt(fdtri(1, 3, ref_rng.random(320)))
+        signs = np.sign(ref_rng.standard_normal((320, 1))[:, 0])
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert np.array_equal(np.sign(draws), signs)
+        ulps = np.abs(np.abs(draws) - radii) / np.spacing(radii)
+        assert ulps.max() <= self.ULP_TOLERANCE
 
 
 class TestSampleDesignPoints:

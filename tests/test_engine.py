@@ -173,7 +173,10 @@ class TestEstimateTail:
             ex.estimate_tail(cosine_model, 3.0, 50)
 
     def test_deterministic_in_seed_and_workers(self, cosine_model):
-        kwargs = dict(m=10, density=ex.DesignDensity(1, 3, 1.0), seed=777)
+        # m = 64 gives blocks of 31, so n = 300 spans ten blocks and the
+        # four-worker run really goes through the thread pool
+        assert block_size(64) < 300 // 2
+        kwargs = dict(m=64, density=ex.DesignDensity(1, 3, 1.0), seed=777)
         a = ex.estimate_tail(cosine_model, 4.0, 300, workers=1, **kwargs)
         b = ex.estimate_tail(cosine_model, 4.0, 300, workers=1, **kwargs)
         c = ex.estimate_tail(cosine_model, 4.0, 300, workers=4, **kwargs)

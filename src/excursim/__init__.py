@@ -73,6 +73,7 @@ from .oracles import (
     cosine_truth,
     crude_grid_mc,
     expected_excursion_measure,
+    log_rice_tail,
 )
 from .presets import PRESETS, preset_density, preset_model
 

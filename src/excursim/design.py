@@ -152,7 +152,12 @@ class DesignDensity:
     def _check_normalization(self):
         d = self.dim
         surface = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
-        radial = lambda rho: surface * rho ** (d - 1) * float(self.pdf(np.r_[rho, [0.0] * (d - 1)])[0])
+        point = np.zeros((1, d))  # the node (rho, 0, ..., 0), filled in place
+
+        def radial(rho):
+            point[0, 0] = rho
+            return surface * rho ** (d - 1) * float(self.pdf(point)[0])
+
         total = 0.0
         for lo, hi in [(0.0, self.scale), (self.scale, 50.0 * self.scale),
                        (50.0 * self.scale, np.inf)]:

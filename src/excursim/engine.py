@@ -7,6 +7,8 @@ each replicate, then forms the importance-weighted estimates of the tail
 probability and (optionally) of an integral over the excursion set.  B is
 fixed by m alone, through a byte budget for the block's covariance buffer, so
 results are independent of worker count; worker threads take whole blocks.
+Where B is 1 (m >= 256), the field is drawn only at the design points inside
+T, the only ones the estimators read; larger blocks draw it at all m points.
 A run keeps per-replicate scalars only, as parallel arrays (log z, log y,
 mes, rank, ok), and aggregation uses exact compensated summation to stay
 order-insensitive.
@@ -156,7 +158,9 @@ class ReplicateArrays:
 
     ``log_z`` and ``log_y`` are log z_hat and log y_hat (-inf on a miss, and
     ``log_y`` stays -inf when no integral is estimated); ``mes`` is the volume
-    estimate and ``rank`` the numerical rank of the conditional covariance.
+    estimate and ``rank`` the numerical rank of the conditional covariance
+    the field was drawn from: of all m design points in a block of B > 1,
+    of the points inside T alone where B is 1 (0 when none is inside).
     ``ok`` is False for a dropped replicate, whose other entries mean nothing.
     """
 
@@ -205,6 +209,15 @@ def _draw_block(model: FieldModel, ctx: MeasureContext, scales: ScaleFactors,
     ``_conditional_draw``).  They consume the stream and round as the block
     routines do, and per-call instrumentation of them, such as the
     benchmark's tracer, sees one call per replicate.
+
+    Where every block is one replicate (``block_size(m) == 1``), the field is
+    drawn only at the design points inside T: the conditional law there is
+    the marginal of the law at all m points, so the draw is exact and
+    consumes the rank normals of the inside covariance alone.  The outside
+    entries of ``field_values`` are NaN, which no estimator reads; a design
+    with no inside point draws no field and misses (mes, z and y are 0).  A
+    trailing block of one at smaller m draws at all m points, as its full
+    blocks do.
     """
     single = size == 1
     taus = sample_tau(model, ctx, rng, size=size)
@@ -215,8 +228,17 @@ def _draw_block(model: FieldModel, ctx: MeasureContext, scales: ScaleFactors,
         draws = draw[None]  # stacked as a block of one
     else:
         draws = sample_design_block(taus, scales.zeta, m, density, model.domain, rng)
-    field_values, rank, errors = _conditional_draw_block(model, taus, values_at_tau,
-                                                         draws.points, rng)
+    if block_size(m) == 1:
+        # the estimators read the field only inside T: draw it there alone
+        field_values = np.full((1, m), np.nan)
+        rank, errors = np.zeros(1, dtype=int), {}
+        if draw.inside.any():
+            values, rank, errors = _conditional_draw_block(
+                model, taus, values_at_tau, draw.points[draw.inside][None], rng)
+            field_values[0, draw.inside] = values[0]
+    else:
+        field_values, rank, errors = _conditional_draw_block(model, taus, values_at_tau,
+                                                             draws.points, rng)
     ratio = proposal_ratio(model, ctx, draws.points)
     if single:
         mes = np.array([mes_hat(field_values[0], ctx.gamma, draw,

@@ -11,7 +11,6 @@ levels around ``b = 8`` (tail mass ~1e-16) keep full relative accuracy.
 
 from __future__ import annotations
 
-import functools
 import threading
 from dataclasses import dataclass
 
@@ -438,20 +437,35 @@ def cov_matrix(model: FieldModel, points) -> np.ndarray:
 _INDEFINITE_TOL = 1e-6
 
 
-@functools.lru_cache(maxsize=4)
+# Read-only arrays that serve every n by a prefix: the (N, N) strict upper
+# triangle mask and the N probe weights, replaced by larger ones when an n
+# beyond N comes.
+_prefix_cache: dict = {}
+
+
+def _cached_prefix(key: str, n: int, build) -> np.ndarray:
+    full = _prefix_cache.get(key)
+    if full is None or full.shape[0] < n:
+        full = build(n)
+        full.flags.writeable = False
+        _prefix_cache[key] = full
+    return full
+
+
 def _strict_upper(n: int) -> np.ndarray:
-    """Fortran-ordered (n, n) mask of the strict upper triangle."""
-    mask = np.asfortranarray(np.triu(np.ones((n, n), dtype=bool), 1))
-    mask.flags.writeable = False
-    return mask
+    """Fortran-ordered (n, n) mask of the strict upper triangle: the leading
+    block of one cached mask."""
+    full = _cached_prefix("strict_upper", n,
+                          lambda k: np.asfortranarray(np.triu(np.ones((k, k), dtype=bool), 1)))
+    return full[:n, :n]
 
 
-@functools.lru_cache(maxsize=4)
 def _probe(n: int) -> np.ndarray:
-    """Fixed pseudo-random weights in [0.5, 1.5) for the residual probe."""
-    v = np.random.default_rng(0).uniform(0.5, 1.5, n)
-    v.flags.writeable = False
-    return v
+    """Fixed pseudo-random weights in [0.5, 1.5) for the residual probe: the
+    first n of one ``default_rng(0)`` uniform draw, so every n gets a prefix
+    of the same sequence."""
+    return _cached_prefix("probe", n,
+                          lambda k: np.random.default_rng(0).uniform(0.5, 1.5, k))[:n]
 
 
 def _lapack_factor(matrix: np.ndarray, lower: np.ndarray):
@@ -567,16 +581,26 @@ def sample_joint(model: FieldModel, points, rng) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 # Per-thread buffers of the conditional draws (a single draw is a block of
-# one): the (B, m + 1, m) assembly and the (B, m, m) factors, grown when a
-# block needs more rows and replaced when m changes.
+# one): flat arrays behind the (B, n + 1, n) assembly and the (B, n, n)
+# factors, replaced only when a block needs more elements than they hold.
 _block_buffers = threading.local()
+_NO_BUFFERS = (np.empty(0), np.empty(0))
 
 
-def _block_buffer_pair(size: int, m: int):
-    pair = getattr(_block_buffers, "pair", None)
-    if pair is None or pair[1].shape[1] != m or pair[1].shape[0] < size:
-        pair = _block_buffers.pair = (np.empty((size, m + 1, m)), np.empty((size, m, m)))
-    return pair[0][:size], pair[1][:size]
+def _block_buffer_pair(size: int, n: int):
+    """This thread's (size, n + 1, n) assembly and (size, n, n) factor buffers.
+
+    Both are C-contiguous views of a prefix of the thread's flat buffers, so
+    blocks of any size and n share the same memory; the buffers grow only
+    when a block needs more elements than any before it in this thread.
+    """
+    need = (size * (n + 1) * n, size * n * n)
+    flat = getattr(_block_buffers, "flat", _NO_BUFFERS)
+    if flat[0].size < need[0] or flat[1].size < need[1]:
+        flat = _block_buffers.flat = tuple(buf if buf.size >= k else np.empty(k)
+                                           for buf, k in zip(flat, need))
+    return (flat[0][:need[0]].reshape(size, n + 1, n),
+            flat[1][:need[1]].reshape(size, n, n))
 
 
 def _stacked_corr(model: FieldModel, a: np.ndarray, b: np.ndarray, out: np.ndarray):

@@ -1,7 +1,8 @@
 """Closed-form ground truths and brute-force baselines.
 
 These are the independent references the adaptive estimator is validated
-against: the exact tail probability of the cosine process, exact expected
+against: the exact tail probability of the cosine process, the Rice tail of
+a smooth stationary process on an interval, exact expected
 excursion volumes via quadrature, an exact path simulator for the cosine
 process, a deterministic grid-maximum tail oracle, and a plain fixed-grid
 Monte Carlo baseline whose discretization bias the adaptive scheme avoids.
@@ -17,11 +18,12 @@ from scipy.integrate import quad
 
 from .engine import EstimateReport
 from .errors import ConfigurationError, InsufficientReplicatesError
-from .field import FieldModel, cov_matrix, factor_psd, gaussian_tail
+from .field import FieldModel, cov_matrix, factor_psd, gaussian_tail, log_gaussian_tail
 from .measure import normalizing_integral
 
 __all__ = [
     "cosine_truth",
+    "log_rice_tail",
     "expected_excursion_measure",
     "crude_grid_mc",
     "CosinePath",
@@ -38,6 +40,24 @@ def cosine_truth(b: float) -> float:
     """Exact P(sup over [0, 3/4] of X cos t + Y sin t > b)
     = 1 - Phi(b) + (3 / 8 pi) exp(-b^2 / 2)."""
     return float(gaussian_tail(b)) + 3.0 / (8.0 * math.pi) * math.exp(-0.5 * b * b)
+
+
+def log_rice_tail(b: float, length: float, lambda2: float) -> float:
+    """log of the Rice tail P(Z > b) + length sqrt(lambda2) / (2 pi) exp(-b^2 / 2).
+
+    For a smooth stationary unit-variance process on an interval of the given
+    length whose correlation has second spectral moment lambda2 (-r''(0)),
+    this is P(f(0) > b) plus the expected number of upcrossings of b, an
+    upper bound on P(sup f > b) that is exact up to a term of relative order
+    exp(-c b^2).  It is exact for the cosine process on [0, 3/4] (length
+    3/4, lambda2 = 1), whose paths upcross at most once there.  Both terms
+    are summed in log space, so the result stays finite where they underflow.
+    """
+    if not (length > 0.0 and lambda2 > 0.0):
+        raise ValueError("need length > 0 and lambda2 > 0")
+    log_crossings = (math.log(length) + 0.5 * math.log(lambda2) - math.log(2.0 * math.pi)
+                     - 0.5 * b * b)
+    return float(np.logaddexp(log_gaussian_tail(b), log_crossings))
 
 
 def expected_excursion_measure(model: FieldModel, b: float) -> float:

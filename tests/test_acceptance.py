@@ -230,15 +230,6 @@ def test_criterion_6_discretization_bias_contrast(table1_runs):
             f"of exact grid tail, adaptive devs {dev3:.2f}/{dev5:.2f} sigma at b=3/5")
 
 
-def _rice_prefactor_sqexp(b: float) -> float:
-    """Exact level-b prefactor of exp(-t^2) on [0, 1]: the Rice tail
-    P(Z > b) + sqrt(2)/(2 pi) exp(-b^2/2) (lambda_2 = 2, T = 1) divided by
-    b P(Z > b).  Exact up to a term of relative order exp(-b^2/4), and an
-    upper bound on the truth."""
-    log_ratio = -0.5 * b * b - math.log(b) - float(ex.log_gaussian_tail(b))
-    return 1.0 / b + math.sqrt(2.0) / (2.0 * math.pi) * math.exp(log_ratio)
-
-
 def test_criterion_7_pickands_stability():
     """The relative error of the prefactor estimate stays level-independent.
 
@@ -253,7 +244,10 @@ def test_criterion_7_pickands_stability():
     levels = (6.0, 7.0, 8.0)
     reports = {b: ex.estimate_pickands(2.0, b, 100_000, 80, seed=(1111, idx))
                for idx, b in enumerate(levels)}
-    exact = {b: _rice_prefactor_sqexp(b) for b in levels}
+    # H_b: the Rice tail of exp(-t^2) on [0, 1] (lambda_2 = 2) over b P(Z > b),
+    # exact up to a term of relative order exp(-b^2/4) and an upper bound
+    exact = {b: math.exp(ex.log_rice_tail(b, 1.0, 2.0) - math.log(b)
+                         - float(ex.log_gaussian_tail(b))) for b in levels}
     rel_dev = {b: reports[b].estimate / exact[b] - 1.0 for b in levels}
     rel_se = {b: reports[b].std_err / exact[b] for b in levels}
     pairs = []

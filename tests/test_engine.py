@@ -190,9 +190,7 @@ class TestEstimateTail:
         b = 40.0
         report = ex.estimate_tail(model, b, 2000, 40, seed=4040, workers=1)
         assert report.errored == 0
-        log_rice = float(np.logaddexp(ex.log_gaussian_tail(b),
-                                      0.5 * math.log(2.0) - math.log(2.0 * math.pi)
-                                      - 0.5 * b * b))
+        log_rice = ex.log_rice_tail(b, 1.0, 2.0)
         assert math.isfinite(report.log_estimate)
         assert abs(report.log_estimate - log_rice) <= 0.1
         assert report.log_std_err < report.log_estimate
@@ -363,6 +361,94 @@ class TestBlocks:
         peak_bytes(200)  # allocates this thread's block buffers
         small, large = peak_bytes(2_000), peak_bytes(20_000)
         assert large <= 1.5 * small, (small, large)
+
+
+class TestInsideOnlyDraws:
+    # blocks of one (m >= 256) draw the field at the design points inside T only
+
+    @pytest.fixture(scope="class")
+    def large_m(self):
+        model = ex.FieldModel(ex.BoxDomain([0.0], [1.0]), ex.SquaredExponential())
+        b, m = 6.0, 320
+        assert block_size(m) == 1
+        return {"model": model, "b": b, "m": m, "ctx": ex.measure_context(model, b),
+                "scales": ex.cluster_scale(model, b), "density": ex.DesignDensity(1)}
+
+    def _replay_design(self, s, seed):
+        """The stream of ``seed`` replayed up to the design draw of a block of one."""
+        model, ctx = s["model"], s["ctx"]
+        rng = np.random.default_rng(seed)
+        taus = ex.sample_tau(model, ctx, rng, size=1)
+        values_at_tau = ex.sample_truncated_tail(model.mean_at(taus), model.std_at(taus),
+                                                 ctx.gamma, rng, size=1)
+        draw = ex.sample_design_points(taus[0], s["scales"].zeta, s["m"], s["density"],
+                                       model.domain, rng)
+        return rng, taus[0], float(values_at_tau[0]), draw
+
+    def test_outside_values_are_nan_and_only_inside_normals_are_drawn(self, large_m):
+        s = large_m
+        for i in range(5):
+            seed = (61, i)
+            block_rng = np.random.default_rng(seed)
+            block = _draw_block(s["model"], s["ctx"], s["scales"], s["density"], s["m"],
+                                None, 1, block_rng)
+            rng, tau, value, draw = self._replay_design(s, seed)
+            inside = draw.inside
+            assert np.array_equal(block.draws.inside[0], inside)
+            assert 0 < np.count_nonzero(inside) < s["m"]
+            assert np.isnan(block.field_values[0, ~inside]).all()
+            assert np.isfinite(block.field_values[0, inside]).all()
+            # the draw is the conditional law of the inside points alone
+            mean, cov, _ = ex.conditional_moments(s["model"], tau, value,
+                                                  draw.points[inside])
+            factor, _ = ex.factor_psd(cov)
+            assert block.rank[0] == factor.shape[1] < np.count_nonzero(inside)
+            expected = mean + factor @ rng.standard_normal(factor.shape[1])
+            assert np.array_equal(block.field_values[0, inside], expected)
+            assert rng.bit_generator.state == block_rng.bit_generator.state
+
+    def test_design_outside_t_draws_no_field(self, large_m, monkeypatch):
+        s = large_m
+        original = engine.sample_design_points
+
+        def outside(*args, **kwargs):
+            draw = original(*args, **kwargs)
+            points = draw.points + 10.0
+            return dataclasses.replace(draw, points=points,
+                                       inside=s["model"].domain.contains(points))
+
+        monkeypatch.setattr(engine, "sample_design_points", outside)
+        seed = (62, 0)
+        rng = np.random.default_rng(seed)
+        integrand = ex.IntegrandSpec.constant(1.0, s["model"])
+        block = _draw_block(s["model"], s["ctx"], s["scales"], s["density"], s["m"],
+                            integrand, 1, rng)
+        assert not block.draws.inside.any()
+        assert np.isnan(block.field_values).all()
+        assert block.errors == {} and block.rank.tolist() == [0]
+        assert block.mes.tolist() == [0.0]
+        assert block.log_z.tolist() == [-np.inf] and block.log_y.tolist() == [-np.inf]
+        replay, _, _, _ = self._replay_design(s, seed)  # no field normals after it
+        assert rng.bit_generator.state == replay.bit_generator.state
+
+    @pytest.mark.parametrize("kernel, b, target", [
+        pytest.param("sqexp", 6.0, "sup_tail", id="sqexp-b6"),
+        pytest.param("sqexp", 8.0, "sup_tail", id="sqexp-b8"),
+        pytest.param("exponential", 6.0, "excursion_integral", id="exponential-b6")])
+    def test_estimates_match_their_oracles_at_m_320(self, kernel, b, target):
+        # the oracle band is 4 sigma plus 1% for the finite-m bias at m = 320
+        domain = ex.BoxDomain([0.0], [1.0])
+        if kernel == "sqexp":
+            model = ex.FieldModel(domain, ex.SquaredExponential())
+            truth = math.exp(ex.log_rice_tail(b, 1.0, 2.0))
+            report = ex.estimate_tail(model, b, 1000, 320, seed=(320, int(b)))
+        else:
+            model = ex.FieldModel(domain, ex.Exponential())
+            truth = ex.expected_excursion_measure(model, b)
+            _, report = ex.estimate_tail_and_excursion(model, b, 1000, 320,
+                                                       seed=(320, 1, int(b)))
+        assert report.target == target and report.errored == 0
+        assert abs(report.estimate - truth) <= 4.0 * report.std_err + 0.01 * truth
 
 
 # Relative allowance for the finite-m bias at m=40: the 2-d excursion-integral

@@ -9,6 +9,7 @@ from scipy.integrate import quad
 from scipy.spatial.distance import cdist
 
 import excursim as ex
+import excursim.field as field
 from excursim.errors import ModelEvaluationError, SingularModelError
 
 
@@ -430,15 +431,40 @@ class TestConditional:
         rng = np.random.default_rng(5)
         pts = 0.4 + rng.standard_t(3, (m, 1)) / 20.0
         _conditional_draw(model, [0.4], 6.0, pts, rng)  # allocates the buffers
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            _, rank = _conditional_draw(model, [0.4], 6.0, pts, rng)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert (rank == m) == full_rank
-        assert peak < 0.5 * 8 * m * m
+        # the same n again, then a smaller one, as inside-only draws ask for
+        for n in (m, m - 20):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                _, rank = _conditional_draw(model, [0.4], 6.0, pts[:n], rng)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert (rank == n) == full_rank
+            assert peak < 0.5 * 8 * m * m
+
+    def test_buffer_pair_serves_a_smaller_n_from_the_same_memory(self):
+        from excursim.field import _block_buffer_pair
+
+        assembly, work = _block_buffer_pair(1, 300)
+        small_assembly, small_work = _block_buffer_pair(1, 280)
+        assert small_assembly.shape == (1, 281, 280) and small_work.shape == (1, 280, 280)
+        assert np.shares_memory(assembly, small_assembly)
+        assert np.shares_memory(work, small_work)
+        for view in (assembly, work, small_assembly, small_work):
+            assert view.flags.c_contiguous
+        assert small_work[0].T.flags.f_contiguous  # the layout LAPACK factors in place
+
+    def test_probe_and_mask_are_prefixes_of_one_cached_array(self, monkeypatch):
+        from excursim.field import _probe, _strict_upper
+
+        monkeypatch.setattr(field, "_prefix_cache", {})
+        for n in (1, 3, 5, 40, 257, 320, 600, 40):  # 600 grows both caches
+            probe = _probe(n)
+            assert np.array_equal(probe, np.random.default_rng(0).uniform(0.5, 1.5, n))
+            assert not probe.flags.writeable
+            assert np.array_equal(_strict_upper(n), np.triu(np.ones((n, n), dtype=bool), 1))
+        assert field._prefix_cache["probe"].shape == (600,)
 
     def test_threads_keep_their_own_buffers(self, smooth_model):
         point_sets = [np.random.default_rng(i).random((50, 2)) for i in range(40)]

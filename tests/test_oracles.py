@@ -34,6 +34,27 @@ class TestCosineTruth:
         assert abs(p_hat - ex.cosine_truth(b)) < 4.0 * se
 
 
+class TestLogRiceTail:
+    @pytest.mark.parametrize("b", [3.0, 4.0, 5.0, 6.0, 7.0, 8.0])
+    def test_exact_for_the_cosine_process(self, b):
+        # a cosine path upcrosses at most once on [0, 3/4], so Rice is exact
+        expected = math.log(ex.cosine_truth(b))
+        assert ex.log_rice_tail(b, 0.75, 1.0) == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+    def test_finite_where_the_tail_underflows(self):
+        b = 40.0
+        assert ex.gaussian_tail(b) == 0.0
+        log_crossings = 0.5 * math.log(2.0) - math.log(2.0 * math.pi) - 0.5 * b * b
+        log_tail = float(ex.log_gaussian_tail(b))
+        expected = log_crossings + math.log1p(math.exp(log_tail - log_crossings))
+        assert ex.log_rice_tail(b, 1.0, 2.0) == pytest.approx(expected, rel=1e-14)
+
+    @pytest.mark.parametrize("length, lambda2", [(0.0, 2.0), (-1.0, 2.0), (1.0, 0.0)])
+    def test_rejects_a_non_positive_length_or_moment(self, length, lambda2):
+        with pytest.raises(ValueError):
+            ex.log_rice_tail(5.0, length, lambda2)
+
+
 class TestExpectedExcursionMeasure:
     def test_constant_model_is_plain_tail(self, smooth_model):
         assert ex.expected_excursion_measure(smooth_model, 5.0) == pytest.approx(

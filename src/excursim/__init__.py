@@ -61,7 +61,6 @@ from .measure import (
     gamma_level,
     log_normalizing_integral,
     measure_context,
-    normalizing_integral,
     sample_tau,
     sample_truncated_tail,
 )

@@ -10,13 +10,15 @@ results are independent of worker count; worker threads take whole blocks.
 Where B is 1 (m >= 256), the field is drawn only at the design points inside
 T, the only ones the estimators read; larger blocks draw it at all m points.
 A run keeps per-replicate scalars only, as parallel arrays (log z, log y,
-mes, rank, ok), and aggregation uses exact compensated summation to stay
-order-insensitive.
+mes, rank, ok).  Every estimator aggregates from the log weights, scaled by
+their largest value so that they stay finite where the weights underflow,
+with exact compensated summation to stay order-insensitive.
 
 A replicate whose kernel values are not finite, whose covariance is
-indefinite beyond rounding, or whose integrand leaves its declared bounds is
-dropped and counted as errored; the rest of its block is kept.  Any other
-failure, such as a non-finite model value at tau, drops its whole block.
+indefinite beyond rounding, or whose integrand leaves its declared bounds at
+a design point inside T is dropped and counted as errored; the rest of its
+block is kept.  Any other failure, such as a non-finite model value at tau,
+drops its whole block.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,17 +89,17 @@ _FAILURE_FRACTION = 1e-3  # a run aborts if more replicates than this error out
 
 @dataclass
 class IntegrandSpec:
-    """Deterministic integrand xi(t) with declared bounds 0 < a1 <= xi <= a2.
+    """Deterministic integrand xi(t) with declared bounds 0 < a1 <= xi <= a2 on T.
 
     Bounds are spot-checked on a coarse domain grid at construction and
-    enforced on every design draw: a replicate whose integrand values leave
-    them is dropped.
+    enforced at the design points inside T of every draw, the only ones the
+    estimators read: a replicate whose integrand values there leave them is
+    dropped.  Values outside T are never checked or read.
     """
 
     func: object
     lower: float
     upper: float
-    domain_checked: bool = dc_field(default=False, repr=False)
 
     @classmethod
     def constant(cls, value: float, model: FieldModel) -> "IntegrandSpec":
@@ -121,7 +123,6 @@ class IntegrandSpec:
         if not within_bounds(self(pts), self.bounds):
             raise IntegrandBoundsError(
                 f"integrand leaves [{self.lower}, {self.upper}] on the domain grid")
-        self.domain_checked = True
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         return np.asarray(self.func(points), dtype=float)
@@ -252,7 +253,9 @@ def _draw_block(model: FieldModel, ctx: MeasureContext, scales: ScaleFactors,
     log_y = np.full(size, -np.inf)
     if integrand is not None:
         xi = integrand(draws.points.reshape(-1, model.dimension)).reshape(size, m)
-        for i in np.flatnonzero(~within_bounds(xi, integrand.bounds)):
+        # only values inside T are read, so only they must keep the bounds
+        inside_xi = np.where(draws.inside, xi, integrand.lower)
+        for i in np.flatnonzero(~within_bounds(inside_xi, integrand.bounds)):
             errors.setdefault(int(i), IntegrandBoundsError(
                 f"integrand value outside declared bounds "
                 f"[{integrand.lower}, {integrand.upper}]"))
@@ -360,54 +363,51 @@ def _mean_and_variance(values: np.ndarray) -> tuple[float, float]:
     return mean, math.fsum(deviation) / (n - 1)
 
 
-def _log_mean_and_std_err(log_values: np.ndarray) -> tuple[float, float]:
-    """log of the sample mean and of its standard error, from log values.
+def _scaled_by_max(log_values: np.ndarray) -> tuple[np.ndarray, float]:
+    """(exp(log_values - top), top) with top the largest log value.
 
-    The values are scaled by the largest before exponentiating, so the
-    result stays finite where the values themselves underflow.
+    The scaled values lie in [0, 1] with the largest equal to 1, so they stay
+    finite where the values themselves underflow.  All -inf gives zeros and
+    top = -inf.
     """
     top = float(np.max(log_values))
     if top == -math.inf:
-        return -math.inf, -math.inf
-    mean, var = _mean_and_variance(np.exp(log_values - top))
-    n = log_values.size
-    return top + math.log(mean), (top + 0.5 * math.log(var / n) if var > 0 else -math.inf)
+        return np.zeros(log_values.shape), top
+    return np.exp(log_values - top), top
 
 
-def aggregate(values, *, target: str = "mean", epsilon: float | None = None,
-              delta: float | None = None, log_values=None, **meta) -> EstimateReport:
-    """Sample mean and standard error over replicate values.
+def aggregate(*, log_values, target: str = "mean", epsilon: float | None = None,
+              delta: float | None = None, **meta) -> EstimateReport:
+    """Sample mean and standard error of replicate values, from their logs.
 
-    ``log_values``, the logs of the same values, give ``log_estimate`` and
-    ``log_std_err`` by log-sum-exp, so they stay finite at levels where the
-    values underflow to zero; without them both are the logs of the linear
-    figures.
+    One compensated pass over the values scaled by the largest gives the
+    linear figures (``estimate``, ``std_err``) and the log figures
+    (``log_estimate``, ``log_std_err``); the log figures stay finite at
+    levels where the values and the linear figures underflow to zero.
 
     When (epsilon, delta) are given, also reports the Chebyshev replicate
     count  n_required = Var / (delta * epsilon^2 * mean^2)  needed for
     P(|estimate - truth| < epsilon * truth) > 1 - delta, using the empirical
-    variance in place of the unknown true one.
+    variance in place of the unknown true one; it does not change under the
+    scaling, so it too stays finite where the values underflow.
     """
-    vals = np.asarray(values, dtype=float)
-    n = vals.size
+    logs = np.asarray(log_values, dtype=float)
+    n = logs.size
     if n < 2:
         raise InsufficientReplicatesError("need at least two replicate values")
-    mean, var = _mean_and_variance(vals)
-    std_err = math.sqrt(var / n)
+    scaled, top = _scaled_by_max(logs)
+    mean, var = _mean_and_variance(scaled)
     n_required = None
     if epsilon is not None and delta is not None:
         if not (0.0 < epsilon and 0.0 < delta < 1.0):
             raise ValueError("need epsilon > 0 and delta in (0, 1)")
         n_required = var / (delta * epsilon ** 2 * mean ** 2) if mean > 0 else math.inf
-    if log_values is None:
-        log_estimate = math.log(mean) if mean > 0 else -math.inf
-        log_std_err = math.log(std_err) if std_err > 0 else -math.inf
-    else:
-        log_estimate, log_std_err = _log_mean_and_std_err(np.asarray(log_values, dtype=float))
+    unit = math.exp(top)
     return EstimateReport(
-        target=target, estimate=mean, std_err=std_err, n=n, log_estimate=log_estimate,
-        log_std_err=log_std_err, epsilon=epsilon, delta=delta, n_required=n_required,
-        **meta)
+        target=target, estimate=unit * mean, std_err=unit * math.sqrt(var / n), n=n,
+        log_estimate=top + math.log(mean) if mean > 0 else -math.inf,
+        log_std_err=top + 0.5 * math.log(var / n) if var > 0 else -math.inf,
+        epsilon=epsilon, delta=delta, n_required=n_required, **meta)
 
 
 # ---------------------------------------------------------------------------
@@ -416,10 +416,11 @@ def aggregate(values, *, target: str = "mean", epsilon: float | None = None,
 
 def _simulate(model: FieldModel, b: float, n: int, m: int | None, eps: float | None,
               lam: float, density: DesignDensity | None, seed, workers: int | None,
-              integrand: IntegrandSpec | None):
+              integrand: IntegrandSpec | None) -> tuple[ReplicateArrays, dict]:
     """Build the level's context and run n replicates in blocks.
 
-    Returns (m, kept replicates, errored count, start time of the draws).
+    Returns the kept replicates and the report fields of the run: b, m,
+    seed, the errored count and the wall time of the draws.
     """
     ctx = measure_context(model, b)
     scales = cluster_scale(model, b)
@@ -435,7 +436,8 @@ def _simulate(model: FieldModel, b: float, n: int, m: int | None, eps: float | N
         lambda rng, lo, hi: _draw_block(model, ctx, scales, density, m, integrand,
                                         hi - lo, rng),
         n, block_size(m), seed, workers)
-    return m, kept, errored, start
+    return kept, dict(b=float(b), m=m, seed=seed, errored=errored,
+                      wall_time_s=time.perf_counter() - start)
 
 
 def estimate_tail(model: FieldModel, b: float, n: int, m: int | None = None, *,
@@ -445,12 +447,9 @@ def estimate_tail(model: FieldModel, b: float, n: int, m: int | None = None, *,
                   epsilon: float | None = None, delta: float | None = None,
                   ) -> EstimateReport:
     """Estimate P(sup_T f > b) from n independent tilted replicates."""
-    m, kept, errored, start = _simulate(model, b, n, m, eps, lam, density, seed, workers, None)
-    report = aggregate(np.exp(kept.log_z), log_values=kept.log_z, target="sup_tail",
-                       epsilon=epsilon, delta=delta, b=float(b), m=m, seed=seed,
-                       errored=errored)
-    report.wall_time_s = time.perf_counter() - start
-    return report
+    kept, run = _simulate(model, b, n, m, eps, lam, density, seed, workers, None)
+    return aggregate(log_values=kept.log_z, target="sup_tail", epsilon=epsilon, delta=delta,
+                     **run)
 
 
 def estimate_tail_and_excursion(model: FieldModel, b: float, n: int,
@@ -469,16 +468,10 @@ def estimate_tail_and_excursion(model: FieldModel, b: float, n: int,
     """
     if integrand is None:
         integrand = IntegrandSpec.constant(1.0, model)
-    m, kept, errored, start = _simulate(model, b, n, m, eps, lam, density, seed, workers,
-                                        integrand)
-    elapsed = time.perf_counter() - start
-    reports = tuple(
-        aggregate(np.exp(logs), log_values=logs, target=target, epsilon=epsilon, delta=delta,
-                  b=float(b), m=m, seed=seed, errored=errored)
+    kept, run = _simulate(model, b, n, m, eps, lam, density, seed, workers, integrand)
+    return tuple(
+        aggregate(log_values=logs, target=target, epsilon=epsilon, delta=delta, **run)
         for target, logs in (("sup_tail", kept.log_z), ("excursion_integral", kept.log_y)))
-    for report in reports:
-        report.wall_time_s = elapsed
-    return reports
 
 
 def estimate_conditional(model: FieldModel, b: float, n: int,
@@ -491,31 +484,31 @@ def estimate_conditional(model: FieldModel, b: float, n: int,
     """Paired-ratio estimate of E[integral of xi over {f > b}] given sup f > b.
 
     The same replicates feed numerator and denominator; the standard error
-    comes from the delta method applied to the paired values.
+    comes from the delta method applied to the paired values.  Both y and z
+    are scaled by exp(-max log z) first: the ratio and its delta-method
+    variance do not change under a common scale, and y <= a2 z keeps the
+    scaled y bounded, so the estimate stays finite at levels (b ~ 40) where
+    every weight underflows.
     """
     if integrand is None:
         integrand = IntegrandSpec.constant(1.0, model)
-    m, kept, errored, start = _simulate(model, b, n, m, eps, lam, density, seed, workers,
-                                        integrand)
+    kept, run = _simulate(model, b, n, m, eps, lam, density, seed, workers, integrand)
     n_ok = kept.ok.size
     if n_ok < 2:
         raise InsufficientReplicatesError("need at least two replicate values")
-    ys = np.exp(kept.log_y)
-    zs = np.exp(kept.log_z)
-    sum_z = math.fsum(zs)
-    if sum_z <= 0.0:
+    zs, top = _scaled_by_max(kept.log_z)
+    if top == -math.inf:
         raise NoHitError(f"no replicate hit the excursion event at b={b}; increase n")
-    ratio = math.fsum(ys) / sum_z
+    ys = np.exp(kept.log_y - top)
+    ratio = math.fsum(ys) / math.fsum(zs)
     y_bar, s_yy = _mean_and_variance(ys)
     z_bar, s_zz = _mean_and_variance(zs)
     s_yz = math.fsum((ys - y_bar) * (zs - z_bar)) / (n_ok - 1)
     var_ratio = (s_yy - 2.0 * ratio * s_yz + ratio ** 2 * s_zz) / (n_ok * z_bar ** 2)
-    report = EstimateReport(
+    return EstimateReport(
         target="conditional_expectation", estimate=ratio,
-        std_err=math.sqrt(max(var_ratio, 0.0)), n=n_ok, b=float(b), m=m, seed=seed,
-        log_estimate=math.log(ratio) if ratio > 0 else -math.inf, errored=errored)
-    report.wall_time_s = time.perf_counter() - start
-    return report
+        std_err=math.sqrt(max(var_ratio, 0.0)), n=n_ok,
+        log_estimate=math.log(ratio) if ratio > 0 else -math.inf, **run)
 
 
 # ---------------------------------------------------------------------------
@@ -555,15 +548,11 @@ def estimate_pickands(alpha: float, b: float, n: int, m: int = 20, *,
     The estimate targets the level-b prefactor w(b) / (b**(2/alpha) P(Z > b)),
     which tends to the Pickands constant H_alpha only as b grows (see
     ``pickands_estimate``): for alpha = 2 it is 0.746, 0.718 and 0.698 at
-    b = 6, 7, 8, against H_2 ~ 0.564.  Estimate and standard error come from
-    the report's log figures, so they stay finite where w(b) underflows.
+    b = 6, 7, 8, against H_2 ~ 0.564.  The log scale is subtracted from each
+    replicate's log weight before aggregating, so estimate and standard error
+    stay finite where w(b) underflows.
     """
     log_scale = _log_prefactor_scale(alpha, b)
     model = FieldModel(BoxDomain([0.0], [1.0]), PowerExponential(alpha, 1.0))
-    report = estimate_tail(model, b, n, m, density=density, seed=seed, workers=workers)
-    report.target = "pickands_constant"
-    report.log_estimate -= log_scale
-    report.log_std_err -= log_scale
-    report.estimate = math.exp(report.log_estimate)
-    report.std_err = math.exp(report.log_std_err)
-    return report
+    kept, run = _simulate(model, b, n, m, None, 1.0, density, seed, workers, None)
+    return aggregate(log_values=kept.log_z - log_scale, target="pickands_constant", **run)

@@ -24,7 +24,6 @@ from .field import FieldModel, log_gaussian_tail, log_marginal_tail
 __all__ = [
     "gamma_level",
     "QuadratureInfo",
-    "normalizing_integral",
     "log_normalizing_integral",
     "MeasureContext",
     "measure_context",
@@ -125,12 +124,6 @@ def log_normalizing_integral(model: FieldModel, gamma: float) -> tuple[float, Qu
         f"last log value {prev:.12g}")
 
 
-def normalizing_integral(model: FieldModel, gamma: float) -> float:
-    """int_T P(f(t) > gamma) dt, in (0, mes(T)]."""
-    log_value, _ = log_normalizing_integral(model, gamma)
-    return math.exp(log_value)
-
-
 # ---------------------------------------------------------------------------
 # Measure context
 # ---------------------------------------------------------------------------
@@ -148,7 +141,6 @@ class MeasureContext:
     b: float
     gamma: float
     log_norm_integral: float
-    norm_integral: float
     quadrature: QuadratureInfo
     grid_shape: tuple
     cell_log_mass: np.ndarray = dc_field(repr=False)
@@ -184,8 +176,7 @@ def measure_context(model: FieldModel, b: float) -> MeasureContext:
     gamma = gamma_level(b)
     log_ig, info = log_normalizing_integral(model, gamma)
     budget = 1 if _constant_marginals(model) else _PROPOSAL_CELLS
-    return MeasureContext(b=float(b), gamma=gamma, log_norm_integral=log_ig,
-                          norm_integral=math.exp(log_ig), quadrature=info,
+    return MeasureContext(b=float(b), gamma=gamma, log_norm_integral=log_ig, quadrature=info,
                           **_grid_sampler_tables(model, gamma, budget))
 
 

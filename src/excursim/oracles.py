@@ -19,7 +19,7 @@ from scipy.integrate import quad
 from .engine import EstimateReport
 from .errors import ConfigurationError, InsufficientReplicatesError
 from .field import FieldModel, cov_matrix, factor_psd, gaussian_tail, log_gaussian_tail
-from .measure import normalizing_integral
+from .measure import log_normalizing_integral
 
 __all__ = [
     "cosine_truth",
@@ -61,8 +61,12 @@ def log_rice_tail(b: float, length: float, lambda2: float) -> float:
 
 
 def expected_excursion_measure(model: FieldModel, b: float) -> float:
-    """E mes({t : f(t) > b}) = int_T P(f(t) > b) dt, by exact quadrature."""
-    return normalizing_integral(model, b)
+    """E mes({t : f(t) > b}) = int_T P(f(t) > b) dt, by exact quadrature.
+
+    The exp of ``log_normalizing_integral(model, b)``, whose log stays
+    finite at levels (b ~ 38 and above) where this linear value underflows.
+    """
+    return math.exp(log_normalizing_integral(model, b)[0])
 
 
 def crude_grid_mc(model: FieldModel, b: float, grid_per_axis: int, n: int,

@@ -69,7 +69,7 @@ class TestReplicates:
                     assert (values_at_tau > s["ctx"].gamma).all()
                     assert (block.mes >= 0.0).all()
                     assert (block.mes[hits] > 0.0).all()
-                    expected = s["ctx"].norm_integral / block.mes[hits]
+                    expected = math.exp(s["ctx"].log_norm_integral) / block.mes[hits]
                     assert np.allclose(np.exp(block.log_z[hits]), expected, rtol=1e-12, atol=0.0)
                     assert (block.log_z[~hits] == -np.inf).all()
 
@@ -119,32 +119,108 @@ class TestIntegrandSpec:
         spec = ex.IntegrandSpec.from_function(lambda p: 1.0 + 0.25 * p[:, 0],
                                               1.0, 1.25, smooth_model)
         assert spec.bounds == (1.0, 1.25)
-        assert spec.domain_checked
+
+
+def _unit_sqexp():
+    return ex.FieldModel(ex.BoxDomain([0.0], [1.0]), ex.SquaredExponential())
+
+
+class TestIntegrandBoundsInsideT:
+    def test_integrand_undefined_outside_t_matches_the_constant(self):
+        # valid on T and NaN off it: no replicate is dropped, and the run is
+        # bit-equal to the constant integrand, whose values off T are never read
+        model = _unit_sqexp()
+        nan_off_t = ex.IntegrandSpec.from_function(
+            lambda p: np.where((p[:, 0] >= 0.0) & (p[:, 0] <= 1.0), 1.0, np.nan),
+            1.0, 1.0, model)
+        one = ex.IntegrandSpec.constant(1.0, model)
+        runs = [ex.estimate_tail_and_excursion(model, 4.0, 200, 20, integrand=spec,
+                                               seed=4200, workers=1)
+                for spec in (nan_off_t, one)]
+        for a, c in zip(*runs):
+            assert a.errored == 0 and c.errored == 0
+            assert (a.estimate, a.std_err) == (c.estimate, c.std_err)
+
+    @pytest.mark.parametrize("m", [20, 320])
+    def test_violation_inside_t_drops_its_replicate(self, m):
+        # a stacked block at m = 20, a block of one at m = 320
+        model, b = _unit_sqexp(), 4.0
+        ctx, scales, density = (ex.measure_context(model, b), ex.cluster_scale(model, b),
+                                ex.DesignDensity(1))
+        size = block_size(m)
+        inside_t = model.domain.contains
+        # the plain constructor skips the spot check, which breaks_inside fails
+        breaks_inside = ex.IntegrandSpec(lambda p: np.where(inside_t(p), 2.0, 1.0), 1.0, 1.0)
+        breaks_outside = ex.IntegrandSpec(lambda p: np.where(inside_t(p), 1.0, 2.0), 1.0, 1.0)
+        for seed in range(4):
+            dropped, kept = (_draw_block(model, ctx, scales, density, m, spec, size,
+                                         np.random.default_rng((m, seed)))
+                             for spec in (breaks_inside, breaks_outside))
+            inside = dropped.draws.inside
+            assert (~inside).any()  # some design points fall outside T
+            assert set(dropped.errors) == set(np.flatnonzero(inside.any(axis=1)))
+            assert all(isinstance(e, IntegrandBoundsError) for e in dropped.errors.values())
+            assert kept.errors == {}
 
 
 class TestAggregate:
     def test_constant_values(self):
-        report = ex.aggregate([2.5, 2.5, 2.5])
-        assert report.estimate == 2.5 and report.std_err == 0.0
+        report = ex.aggregate(log_values=np.log([2.5, 2.5, 2.5]))
+        assert report.estimate == pytest.approx(2.5, rel=1e-15) and report.std_err == 0.0
 
     def test_hand_arithmetic(self):
-        report = ex.aggregate([0.0, 2.0])
+        report = ex.aggregate(log_values=[-np.inf, math.log(2.0)])
         assert report.estimate == pytest.approx(1.0)
         assert report.std_err == pytest.approx(1.0)
 
     def test_too_few_values(self):
         with pytest.raises(InsufficientReplicatesError):
-            ex.aggregate([1.0])
+            ex.aggregate(log_values=[0.0])
+
+    def test_linear_values_are_rejected(self):
+        with pytest.raises(TypeError):
+            ex.aggregate([0.5, 1.5])
 
     def test_chebyshev_replicate_count(self):
         values = [0.5, 1.5, 0.5, 1.5]
-        report = ex.aggregate(values, epsilon=0.1, delta=0.05)
+        report = ex.aggregate(log_values=np.log(values), epsilon=0.1, delta=0.05)
         var = np.var(values, ddof=1)
         assert report.n_required == pytest.approx(var / (0.05 * 0.1 ** 2 * 1.0 ** 2))
 
     def test_log_estimate(self):
-        report = ex.aggregate([1e-10, 3e-10])
+        report = ex.aggregate(log_values=np.log([1e-10, 3e-10]))
         assert report.log_estimate == pytest.approx(math.log(2e-10))
+
+    def test_heavy_tailed_logs_match_the_linear_mean(self):
+        # the linear figures equal a compensated mean and standard error of
+        # the exponentiated values, over logs spanning about 20 e-folds
+        logs = np.random.default_rng(2718).normal(0.0, 3.0, 1000)
+        report = ex.aggregate(log_values=logs)
+        values = np.exp(logs)
+        mean = math.fsum(values) / values.size
+        std_err = math.sqrt(math.fsum((values - mean) ** 2) / (values.size - 1) / values.size)
+        assert report.estimate == pytest.approx(mean, rel=1e-14, abs=0.0)
+        assert report.std_err == pytest.approx(std_err, rel=1e-14, abs=0.0)
+        assert report.log_estimate == pytest.approx(math.log(mean), rel=1e-14)
+        assert report.log_std_err == pytest.approx(math.log(std_err), rel=1e-14)
+
+    def test_shifted_logs_shift_the_log_figures_exactly(self):
+        # eighths and a largest log of 0 keep every subtraction exact; at -800
+        # the linear figures underflow to zero and the log figures do not
+        logs = -np.random.default_rng(1618).integers(0, 64, 500) / 8.0
+        logs[0] = 0.0
+        base = ex.aggregate(log_values=logs, epsilon=0.1, delta=0.05)
+        shifted = ex.aggregate(log_values=logs - 800.0, epsilon=0.1, delta=0.05)
+        assert shifted.log_estimate == base.log_estimate - 800.0
+        assert shifted.log_std_err == base.log_std_err - 800.0
+        assert shifted.estimate == 0.0 and shifted.std_err == 0.0
+        assert shifted.n_required == base.n_required
+
+    def test_all_misses(self):
+        report = ex.aggregate(log_values=np.full(4, -np.inf), epsilon=0.1, delta=0.05)
+        assert (report.estimate, report.std_err) == (0.0, 0.0)
+        assert report.log_estimate == -np.inf and report.log_std_err == -np.inf
+        assert report.n_required == math.inf
 
 
 class TestEstimateTail:
@@ -219,11 +295,37 @@ class TestEstimateConditional:
         assert five.estimate == pytest.approx(5.0 * one.estimate, rel=1e-12)
 
     def test_no_hits_raises(self, cosine_model):
-        # two replicates at a high level essentially never both miss only if
-        # the indicator fires; force misses with an absurd level via small m
-        with pytest.raises((NoHitError, InsufficientReplicatesError)):
+        # one design point per replicate at b = 40: both replicates miss
+        # (log z = -inf for each), so there is no ratio to form
+        with pytest.raises(NoHitError):
             ex.estimate_conditional(cosine_model, 40.0, 2, 1,
                                     density=ex.DesignDensity(1, 3, 1.0), seed=2)
+
+
+class TestConditionalAtHighLevels:
+    # v(b) = E mes({f > b}) / P(sup f > b) with xi = 1: quadrature over the
+    # Rice tail of the unit-interval exp(-t^2) process (lambda2 = 2)
+
+    @pytest.fixture(scope="class")
+    def reports(self):
+        model = _unit_sqexp()
+        return {b: ex.estimate_conditional(model, b, 2000, 40, seed=seed, workers=1)
+                for b, seed in ((6.0, 6006), (40.0, 4004))}
+
+    def test_level_forty_matches_its_oracle(self, reports):
+        # every weight underflows at b = 40; the common scaling keeps v(b) finite
+        b = 40.0
+        report = reports[b]
+        truth = math.exp(ex.log_normalizing_integral(_unit_sqexp(), b)[0]
+                         - ex.log_rice_tail(b, 1.0, 2.0))
+        assert report.errored == 0
+        assert math.isfinite(report.estimate) and math.isfinite(report.std_err)
+        assert abs(report.estimate - truth) <= (4.0 * report.std_err
+                                                + _M40_BIAS_ALLOWANCE * truth)
+
+    def test_relative_error_does_not_grow_with_the_level(self, reports):
+        # the paper's constant cost for v(b): same n and m, no worse CV at b = 40
+        assert reports[40.0].rel_std_err <= 1.5 * reports[6.0].rel_std_err
 
 
 def _fake_block(rng, lo, hi, failing=()):
@@ -484,7 +586,7 @@ class TestProposalWeight:
                                                     hi - lo, rng),
                     n, block_size(m), (61, k, j), workers=1)
                 assert errored == 0
-                report = ex.aggregate(np.exp(kept.log_y), log_values=kept.log_y)
+                report = ex.aggregate(log_values=kept.log_y)
                 assert abs(report.estimate - truth) <= (4.0 * report.std_err
                                                         + _M40_BIAS_ALLOWANCE * truth)
                 reports.append(report)

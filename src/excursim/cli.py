@@ -55,8 +55,8 @@ PICKANDS_COLUMNS = ("alpha", "b", "est", "std_err", "n", "m", "seed",
 WORKERS_ENV = "EXCURSIM_WORKERS"
 
 _CONFIG_KEYS = {"experiment", "kernel", "domain", "mean", "b", "n", "m", "eps",
-                "seed", "dof", "scale", "alpha", "targets", "out", "workers",
-                "format", "timing"}
+                "seed", "dof", "scale", "targets", "out", "workers", "format",
+                "timing"}
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +145,7 @@ def parse_config_file(path: str) -> dict:
 
 
 _INT_KEYS = {"n", "m", "seed", "dof", "workers"}
-_FLOAT_KEYS = {"eps", "scale", "alpha"}
+_FLOAT_KEYS = {"eps", "scale"}
 
 
 def _coerce(key: str, value):
@@ -185,6 +185,7 @@ def table_config(source: str, overrides: dict) -> ExperimentConfig:
 
     A config file that names a preset through its ``experiment`` key inherits
     that preset's defaults; file values override them, CLI flags override both.
+    The preset fixes the model, so such a file may not set kernel, domain or mean.
     """
     if source in PRESETS:
         base = dict(PRESETS[source])
@@ -193,13 +194,15 @@ def table_config(source: str, overrides: dict) -> ExperimentConfig:
     if os.path.exists(source):
         values = parse_config_file(source)
         preset = values.get("experiment")
-        if preset is not None and preset not in PRESETS:
+        if preset is None:
+            return build_config(values, overrides)
+        if preset not in PRESETS:
             raise ConfigurationError(f"unknown experiment {preset!r} in {source}")
-        base = dict(PRESETS[preset]) if preset is not None else {}
-        if preset is not None:
-            base["experiment"] = preset
-        base.update(values)
-        return build_config(base, overrides)
+        model_keys = sorted({"kernel", "domain", "mean"} & values.keys())
+        if model_keys:
+            raise ConfigurationError(f"{source}: experiment {preset!r} fixes the model; "
+                                     f"remove {', '.join(model_keys)}")
+        return build_config({**PRESETS[preset], **values}, overrides)
     raise ConfigurationError(
         f"{source!r} is neither a preset ({', '.join(sorted(PRESETS))}) nor a config file")
 
@@ -225,21 +228,28 @@ def _parse_kv(text: str) -> dict:
 
 
 def parse_kernel(spec: str):
+    """Kernel from ``name[:key=value,...]``; every parameter must be used."""
     name, _, params = spec.partition(":")
     name = name.strip().lower()
     kv = _parse_kv(params) if params else {}
     try:
         if name == "cosine":
-            return CosineProcess()
-        if name == "sqexp":
-            return SquaredExponential(kv.pop("ell", 1.0))
-        if name == "exponential":
-            return Exponential(kv.pop("ell", 1.0))
-        if name == "powerexp":
-            return PowerExponential(kv.pop("alpha"), kv.pop("ell", 1.0))
+            kernel = CosineProcess()
+        elif name == "sqexp":
+            kernel = SquaredExponential(kv.pop("ell", 1.0))
+        elif name == "exponential":
+            kernel = Exponential(kv.pop("ell", 1.0))
+        elif name == "powerexp":
+            kernel = PowerExponential(kv.pop("alpha"), kv.pop("ell", 1.0))
+        else:
+            raise ConfigurationError(
+                f"unknown kernel {name!r} (cosine, sqexp, exponential, powerexp)")
     except (KeyError, ValueError) as exc:
         raise ConfigurationError(f"bad kernel spec {spec!r}: {exc}") from exc
-    raise ConfigurationError(f"unknown kernel {name!r} (cosine, sqexp, exponential, powerexp)")
+    if kv:
+        raise ConfigurationError(
+            f"bad kernel spec {spec!r}: {name} takes no {', '.join(sorted(kv))}")
+    return kernel
 
 
 def parse_domain(spec: str) -> BoxDomain:
@@ -366,6 +376,8 @@ def run_pickands(config: ExperimentConfig) -> list[dict]:
     """Rows of (alpha, b, H estimate, std err) across the requested levels."""
     if config.alpha is None:
         raise ConfigurationError("pickands runs need alpha in (0, 2]")
+    if config.eps is not None:
+        raise ConfigurationError("pickands runs take --m, not --eps")
     m = config.m if config.m is not None else 20
     workers = config.workers or default_workers()
     density = DesignDensity(1, config.dof, config.scale)

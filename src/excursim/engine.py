@@ -415,7 +415,7 @@ def aggregate(*, log_values, target: str = "mean", epsilon: float | None = None,
 # ---------------------------------------------------------------------------
 
 def _simulate(model: FieldModel, b: float, n: int, m: int | None, eps: float | None,
-              lam: float, density: DesignDensity | None, seed, workers: int | None,
+              density: DesignDensity | None, seed, workers: int | None,
               integrand: IntegrandSpec | None) -> tuple[ReplicateArrays, dict]:
     """Build the level's context and run n replicates in blocks.
 
@@ -427,7 +427,7 @@ def _simulate(model: FieldModel, b: float, n: int, m: int | None, eps: float | N
     if m is None:
         if eps is None:
             raise ConfigurationError("specify either m or eps")
-        m = choose_m(eps, model, lam)
+        m = choose_m(eps, model)
     m = int(m)
     if density is None:
         density = DesignDensity(model.dimension)
@@ -441,13 +441,13 @@ def _simulate(model: FieldModel, b: float, n: int, m: int | None, eps: float | N
 
 
 def estimate_tail(model: FieldModel, b: float, n: int, m: int | None = None, *,
-                  eps: float | None = None, lam: float = 1.0,
+                  eps: float | None = None,
                   density: DesignDensity | None = None, seed=0,
                   workers: int | None = None,
                   epsilon: float | None = None, delta: float | None = None,
                   ) -> EstimateReport:
     """Estimate P(sup_T f > b) from n independent tilted replicates."""
-    kept, run = _simulate(model, b, n, m, eps, lam, density, seed, workers, None)
+    kept, run = _simulate(model, b, n, m, eps, density, seed, workers, None)
     return aggregate(log_values=kept.log_z, target="sup_tail", epsilon=epsilon, delta=delta,
                      **run)
 
@@ -455,7 +455,7 @@ def estimate_tail(model: FieldModel, b: float, n: int, m: int | None = None, *,
 def estimate_tail_and_excursion(model: FieldModel, b: float, n: int,
                                 m: int | None = None, *,
                                 integrand: IntegrandSpec | None = None,
-                                eps: float | None = None, lam: float = 1.0,
+                                eps: float | None = None,
                                 density: DesignDensity | None = None, seed=0,
                                 workers: int | None = None,
                                 epsilon: float | None = None, delta: float | None = None,
@@ -468,7 +468,7 @@ def estimate_tail_and_excursion(model: FieldModel, b: float, n: int,
     """
     if integrand is None:
         integrand = IntegrandSpec.constant(1.0, model)
-    kept, run = _simulate(model, b, n, m, eps, lam, density, seed, workers, integrand)
+    kept, run = _simulate(model, b, n, m, eps, density, seed, workers, integrand)
     return tuple(
         aggregate(log_values=logs, target=target, epsilon=epsilon, delta=delta, **run)
         for target, logs in (("sup_tail", kept.log_z), ("excursion_integral", kept.log_y)))
@@ -477,7 +477,7 @@ def estimate_tail_and_excursion(model: FieldModel, b: float, n: int,
 def estimate_conditional(model: FieldModel, b: float, n: int,
                          m: int | None = None, *,
                          integrand: IntegrandSpec | None = None,
-                         eps: float | None = None, lam: float = 1.0,
+                         eps: float | None = None,
                          density: DesignDensity | None = None, seed=0,
                          workers: int | None = None,
                          ) -> EstimateReport:
@@ -492,7 +492,7 @@ def estimate_conditional(model: FieldModel, b: float, n: int,
     """
     if integrand is None:
         integrand = IntegrandSpec.constant(1.0, model)
-    kept, run = _simulate(model, b, n, m, eps, lam, density, seed, workers, integrand)
+    kept, run = _simulate(model, b, n, m, eps, density, seed, workers, integrand)
     n_ok = kept.ok.size
     if n_ok < 2:
         raise InsufficientReplicatesError("need at least two replicate values")
@@ -554,5 +554,5 @@ def estimate_pickands(alpha: float, b: float, n: int, m: int = 20, *,
     """
     log_scale = _log_prefactor_scale(alpha, b)
     model = FieldModel(BoxDomain([0.0], [1.0]), PowerExponential(alpha, 1.0))
-    kept, run = _simulate(model, b, n, m, None, 1.0, density, seed, workers, None)
+    kept, run = _simulate(model, b, n, m, None, density, seed, workers, None)
     return aggregate(log_values=kept.log_z - log_scale, target="pickands_constant", **run)

@@ -30,7 +30,6 @@ __all__ = [
     "Exponential",
     "PowerExponential",
     "CosineProcess",
-    "KERNELS",
     "gaussian_tail",
     "log_gaussian_tail",
     "marginal_tail",
@@ -300,14 +299,6 @@ class CosineProcess:
 
     def __repr__(self):
         return "CosineProcess()"
-
-
-KERNELS = {
-    "sqexp": SquaredExponential,
-    "exponential": Exponential,
-    "powerexp": PowerExponential,
-    "cosine": CosineProcess,
-}
 
 
 # ---------------------------------------------------------------------------

@@ -70,7 +70,7 @@ def expected_excursion_measure(model: FieldModel, b: float) -> float:
 
 
 def crude_grid_mc(model: FieldModel, b: float, grid_per_axis: int, n: int,
-                  rng, workers: int | None = None) -> EstimateReport:
+                  rng) -> EstimateReport:
     """Plain Monte Carlo estimate of P(max over a fixed grid of f > b).
 
     The grid maximum is a lower bound of the supremum, so this baseline is

@@ -43,6 +43,10 @@ class TestSpecParsers:
             parse_kernel("matern:nu=1.5")
         with pytest.raises(ConfigurationError):
             parse_kernel("powerexp:ell=1")  # alpha required
+        with pytest.raises(ConfigurationError, match="sqexp takes no foo"):
+            parse_kernel("sqexp:ell=0.5,foo=3")
+        with pytest.raises(ConfigurationError, match="cosine takes no ell"):
+            parse_kernel("cosine:ell=9")
 
     def test_domain_specs(self):
         box = parse_domain("0,1;0,2")
@@ -267,6 +271,33 @@ class TestEstimateCommand:
         code, _ = run_cli(["estimate", "--kernel", "matern", "--domain", "0,1",
                            "--b", "3", "--n", "50", "--m", "5"], capsys)
         assert code == 2
+
+
+class TestRejectedInputs:
+    """Inputs the CLI used to accept and then ignore are usage errors."""
+
+    def test_experiment_file_with_model_keys(self, capsys, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("experiment = table1\nkernel = exponential\ndomain = 0,5\nn = 50\n")
+        code, out = run_cli(["table", str(path)], capsys)
+        assert code == 2 and out == ""
+
+    def test_alpha_in_config_file(self, capsys, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("experiment = table1\nalpha = 1\nn = 50\n")
+        code, out = run_cli(["table", str(path)], capsys)
+        assert code == 2 and out == ""
+
+    @pytest.mark.parametrize("spec", ["sqexp:ell=0.5,foo=3", "cosine:ell=9"])
+    def test_unused_kernel_parameter(self, capsys, spec):
+        code, out = run_cli(["estimate", "--kernel", spec, "--domain", "0,1",
+                             "--b", "3", "--n", "50", "--m", "5"], capsys)
+        assert code == 2 and out == ""
+
+    def test_pickands_eps(self, capsys):
+        code, out = run_cli(["pickands", "--alpha", "2", "--b", "6", "--n", "50",
+                             "--eps", "0.5"], capsys)
+        assert code == 2 and out == ""
 
 
 class TestPickandsCommand:

@@ -104,6 +104,25 @@ class TestDesignDensity:
             for u in (1e-12, 0.01, 0.3, 0.5, 0.9, 0.999, 1.0 - 1e-12):
                 assert float(density.radius_cdf(density.radius_ppf(u))) == pytest.approx(u, rel=1e-10)
 
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5])
+    def test_log_pdf_matches_multivariate_t(self, dim):
+        # the closed-form constant against scipy's multivariate t, down to
+        # scales of 1e-8 and up to 1e8.  At dof 1e4 both sides round gammaln
+        # values near 4e4, about 1e-12 absolute, so the bound has that
+        # absolute floor where log k is near 0.
+        from scipy import stats
+        rng = np.random.default_rng(7)
+        for dof in (3, 4, 10, 1e4):
+            for scale in (1e-8, 0.5, 1.0, 1e8):
+                density = ex.DesignDensity(dim, dof, scale)
+                z = rng.standard_normal((6, dim))
+                x = z / np.linalg.norm(z, axis=1, keepdims=True)
+                x *= scale * np.array([0.0, 0.3, 1.0, 3.0, 30.0, 1e3])[:, None]
+                exact = stats.multivariate_t(loc=np.zeros(dim), shape=scale ** 2 * np.eye(dim),
+                                             df=dof).logpdf(x)
+                np.testing.assert_allclose(density.log_pdf(x), exact, rtol=1e-12, atol=1e-12,
+                                           err_msg=f"dim={dim} dof={dof} scale={scale}")
+
     def test_one_dimensional_matches_student_t(self, rng):
         from scipy import stats
         density = ex.DesignDensity(1, 3, 1.0)

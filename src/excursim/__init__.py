@@ -8,7 +8,6 @@ excursion event and discretizing adaptively around the tilted location.
 from .design import (
     DesignDensity,
     DesignDraw,
-    ScaleFactors,
     alpha_hat,
     choose_m,
     cluster_scale,
@@ -65,8 +64,6 @@ from .measure import (
     sample_truncated_tail,
 )
 from .oracles import (
-    CosinePath,
-    cosine_exact_simulator,
     cosine_grid_tail,
     cosine_sup_batch,
     cosine_truth,
@@ -74,6 +71,6 @@ from .oracles import (
     expected_excursion_measure,
     log_rice_tail,
 )
-from .presets import PRESETS, preset_density, preset_model
+from .presets import PRESETS, preset_model
 
 __version__ = "0.1.0"

@@ -52,7 +52,6 @@ TABLE_COLUMNS = ("b", "target", "true_value", "est", "std_err", "n", "m", "seed"
                  "wall_time_ms", "errored_replicates", "config_digest", "schema_version")
 PICKANDS_COLUMNS = ("alpha", "b", "est", "std_err", "n", "m", "seed",
                     "wall_time_ms", "errored_replicates", "config_digest", "schema_version")
-WORKERS_ENV = "EXCURSIM_WORKERS"
 
 _CONFIG_KEYS = {"experiment", "kernel", "domain", "mean", "b", "n", "m", "eps",
                 "seed", "dof", "scale", "targets", "out", "workers", "format",
@@ -80,7 +79,7 @@ class ExperimentConfig:
     targets: tuple = ("sup_tail",)
     oracle: str | None = None
     out: str | None = None
-    workers: int | None = None
+    workers: int = 1
     format: str = "csv"
     timing: bool = False
 
@@ -95,7 +94,7 @@ class ExperimentConfig:
             raise ConfigurationError("seed must be non-negative")
         if not self.b or any(v <= 1.0 for v in self.b):
             raise ConfigurationError("levels b must all exceed 1")
-        if self.workers is not None and self.workers < 1:
+        if self.workers < 1:
             raise ConfigurationError("workers must be positive")
         if self.format not in ("csv", "gnuplot"):
             raise ConfigurationError(f"unknown output format {self.format!r}")
@@ -292,8 +291,14 @@ def config_model(config: ExperimentConfig) -> FieldModel:
         return preset_model(config.experiment)
     if config.kernel is None or config.domain is None:
         raise ConfigurationError("custom runs need both kernel and domain")
-    return FieldModel(parse_domain(config.domain), parse_kernel(config.kernel),
-                      mean=parse_mean(config.mean))
+    domain, kernel = parse_domain(config.domain), parse_kernel(config.kernel)
+    mean = parse_mean(config.mean)
+    if isinstance(mean, LinearMean) and mean.coeffs.size != domain.dimension:
+        raise ConfigurationError(f"linear mean needs one coefficient per axis ({domain.dimension})")
+    try:
+        return FieldModel(domain, kernel, mean=mean)
+    except ValueError as exc:
+        raise ConfigurationError(str(exc)) from exc
 
 
 def config_density(config: ExperimentConfig, model: FieldModel) -> DesignDensity:
@@ -335,13 +340,10 @@ def _row(config: ExperimentConfig, report: EstimateReport, true_value: float | N
 
 def _true_value(config: ExperimentConfig, model: FieldModel, target: str,
                 b: float) -> float | None:
-    oracle = config.oracle
-    if oracle is None and config.experiment in PRESETS:
-        oracle = PRESETS[config.experiment].get("oracle")
-    if target == "sup_tail" and oracle == "cosine_closed_form":
+    if target == "sup_tail" and config.oracle == "cosine_closed_form":
         return cosine_truth(b)
-    if target == "excursion_integral" and oracle in ("excursion_quadrature",
-                                                     "cosine_closed_form"):
+    if target == "excursion_integral" and config.oracle in ("excursion_quadrature",
+                                                            "cosine_closed_form"):
         return expected_excursion_measure(model, b)
     return None
 
@@ -350,18 +352,18 @@ def run_table(config: ExperimentConfig) -> list[dict]:
     """One row per (level, target), in level order."""
     model = config_model(config)
     density = config_density(config, model)
-    workers = config.workers or default_workers()
     rows = []
     for idx, b in enumerate(config.b):
         seed_key = (config.seed, idx)
         if "excursion_integral" in config.targets:
             tail, integral = estimate_tail_and_excursion(
                 model, b, config.n, config.m, eps=config.eps, density=density,
-                seed=seed_key, workers=workers)
+                seed=seed_key, workers=config.workers)
             reports = [rep for rep in (tail, integral) if rep.target in config.targets]
         else:
             reports = [estimate_tail(model, b, config.n, config.m, eps=config.eps,
-                                     density=density, seed=seed_key, workers=workers)]
+                                     density=density, seed=seed_key,
+                                     workers=config.workers)]
         for report in reports:
             if report.estimate == 0.0 and math.isfinite(report.log_estimate):
                 # the CSV carries the linear estimate, which underflows above b~38
@@ -379,26 +381,13 @@ def run_pickands(config: ExperimentConfig) -> list[dict]:
     if config.eps is not None:
         raise ConfigurationError("pickands runs take --m, not --eps")
     m = config.m if config.m is not None else 20
-    workers = config.workers or default_workers()
     density = DesignDensity(1, config.dof, config.scale)
     rows = []
     for idx, b in enumerate(config.b):
         report = estimate_pickands(config.alpha, b, config.n, m, density=density,
-                                   seed=(config.seed, idx), workers=workers)
+                                   seed=(config.seed, idx), workers=config.workers)
         rows.append(_row(config, report, None, extra={"alpha": f"{config.alpha:g}"}))
     return rows
-
-
-def default_workers() -> int:
-    """``$EXCURSIM_WORKERS``, else 1: on 2 cores a second worker thread did
-    not speed up ``excursim table table3`` (1.67 s against 1.76 s)."""
-    env = os.environ.get(WORKERS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigurationError(f"{WORKERS_ENV} must be an integer, got {env!r}")
-    return 1
 
 
 # ---------------------------------------------------------------------------
@@ -438,8 +427,7 @@ def _add_common(parser: argparse.ArgumentParser):
                         help="target relative bias; sets m when --m is absent")
     parser.add_argument("--out", help="CSV output path (also echoed to stdout)")
     parser.add_argument("--workers", type=int,
-                        help=f"worker threads, each taking whole replicate blocks "
-                             f"(default: ${WORKERS_ENV} or 1)")
+                        help="worker threads, each taking whole replicate blocks (default 1)")
     parser.add_argument("--format", choices=("csv", "gnuplot"), dest="fmt",
                         help="output format (default csv)")
     parser.add_argument("--dof", type=int, help="design density degrees of freedom")

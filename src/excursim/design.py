@@ -20,7 +20,6 @@ from .errors import ConfigurationError, IntegrandBoundsError, InvalidLevelError
 from .field import BoxDomain, FieldModel, as_points
 
 __all__ = [
-    "ScaleFactors",
     "cluster_scale",
     "choose_m",
     "DesignDensity",
@@ -39,49 +38,33 @@ __all__ = [
 # Cluster scale
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ScaleFactors:
-    """Contraction factors zeta_1 (correlation), zeta_2 (std profile), and
-    their maximum zeta; zeta_2 is 0 for constant-std models by convention."""
-
-    zeta1: float
-    zeta2: float
-
-    @property
-    def zeta(self) -> float:
-        return max(self.zeta1, self.zeta2)
-
-
-def cluster_scale(model: FieldModel, b: float) -> ScaleFactors:
-    """Scale factors for level b: zeta_i solves c_i |s|**alpha_i = b**-2."""
+def cluster_scale(model: FieldModel, b: float) -> float:
+    """Contraction factor zeta = max(zeta1, zeta2) for level b, where zeta_i
+    solves c_i |s|**alpha_i = b**-2 (zeta2, of the std profile, only if any)."""
     if b <= 1.0:
         raise InvalidLevelError(f"cluster scale requires b > 1, got {b}")
     rp = model.regularity
     if rp is None:
         raise ConfigurationError("model has no regularity parameters; supply them explicitly")
-    zeta1 = b ** (2.0 / rp.alpha1) * rp.c1 ** (1.0 / rp.alpha1)
-    if rp.constant_std:
-        zeta2 = 0.0
-    else:
-        zeta2 = b ** (2.0 / rp.alpha2) * rp.c2 ** (1.0 / rp.alpha2)
-    return ScaleFactors(zeta1=zeta1, zeta2=zeta2)
+    zeta = b ** (2.0 / rp.alpha1) * rp.c1 ** (1.0 / rp.alpha1)
+    if not rp.constant_std:
+        zeta = max(zeta, b ** (2.0 / rp.alpha2) * rp.c2 ** (1.0 / rp.alpha2))
+    return zeta
 
 
-def choose_m(eps: float, model: FieldModel, lam: float = 1.0) -> int:
-    """Design size m = ceil(lam * eps**-(d (2/min(alpha1, alpha2) + 2/beta1))).
+def choose_m(eps: float, model: FieldModel) -> int:
+    """Design size m = ceil(eps**-(d (2/min(alpha1, alpha2) + 2/beta1))).
 
-    Guarantees relative discretization bias of order eps for some lam; lam
-    defaults to 1 and fixed-m overrides are the usual choice in practice.
+    The rate that keeps the relative discretization bias of order eps, with
+    constant 1; fixed-m overrides are the usual choice in practice.
     """
     if not 0.0 < eps <= 1.0:
         raise ValueError("eps must lie in (0, 1]")
-    if lam <= 0.0:
-        raise ValueError("lam must be positive")
     rp = model.regularity
     if rp is None:
         raise ConfigurationError("model has no regularity parameters; supply them explicitly")
     exponent = model.dimension * (2.0 / rp.alpha_min + 2.0 / rp.beta1)
-    return int(math.ceil(lam * eps ** (-exponent)))
+    return int(math.ceil(eps ** (-exponent)))
 
 
 # ---------------------------------------------------------------------------
@@ -154,14 +137,6 @@ class DesignDensity:
         return self._log_norm - (self.dof + self.dim) / 2.0 * np.log1p(
             r2 / (self.dof * self.scale ** 2))
 
-    def pdf(self, x) -> np.ndarray:
-        return np.exp(self.log_pdf(x))
-
-    @property
-    def peak(self) -> float:
-        """k(0), the maximum of the density."""
-        return math.exp(self._log_norm)
-
     def radius_cdf(self, r):
         """P(|X| <= r) via the F(d, dof) representation."""
         r = np.asarray(r, dtype=float)
@@ -178,10 +153,6 @@ class DesignDensity:
         if self.dim == 1 and self.dof == 3.0:
             return self.scale * _abs_t3_ppf(np.asarray(u, dtype=float))
         return self.scale * np.sqrt(self.dim * fdtri(self.dim, self.dof, u))
-
-    @property
-    def median_radius(self) -> float:
-        return float(self.radius_ppf(0.5))
 
     def sample(self, rng, size: int) -> np.ndarray:
         """i.i.d. draws from k: radius by CDF inversion, direction uniform."""

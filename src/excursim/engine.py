@@ -33,7 +33,6 @@ import numpy as np
 from .design import (
     DesignDensity,
     DesignDraw,
-    ScaleFactors,
     alpha_hat,
     alpha_hat_block,
     choose_m,
@@ -199,7 +198,7 @@ class _DrawnBlock(_Block):
     field_values: np.ndarray
 
 
-def _draw_block(model: FieldModel, ctx: MeasureContext, scales: ScaleFactors,
+def _draw_block(model: FieldModel, ctx: MeasureContext, zeta: float,
                 density: DesignDensity, m: int, integrand: IntegrandSpec | None,
                 size: int, rng) -> _DrawnBlock:
     """Draw ``size`` replicates from one stream, in this order: the tau
@@ -225,10 +224,10 @@ def _draw_block(model: FieldModel, ctx: MeasureContext, scales: ScaleFactors,
     values_at_tau = sample_truncated_tail(model.mean_at(taus), model.std_at(taus),
                                           ctx.gamma, rng, size=size)
     if single:
-        draw = sample_design_points(taus[0], scales.zeta, m, density, model.domain, rng)
+        draw = sample_design_points(taus[0], zeta, m, density, model.domain, rng)
         draws = draw[None]  # stacked as a block of one
     else:
-        draws = sample_design_block(taus, scales.zeta, m, density, model.domain, rng)
+        draws = sample_design_block(taus, zeta, m, density, model.domain, rng)
     if block_size(m) == 1:
         # the estimators read the field only inside T: draw it there alone
         field_values = np.full((1, m), np.nan)
@@ -423,7 +422,7 @@ def _simulate(model: FieldModel, b: float, n: int, m: int | None, eps: float | N
     seed, the errored count and the wall time of the draws.
     """
     ctx = measure_context(model, b)
-    scales = cluster_scale(model, b)
+    zeta = cluster_scale(model, b)
     if m is None:
         if eps is None:
             raise ConfigurationError("specify either m or eps")
@@ -433,7 +432,7 @@ def _simulate(model: FieldModel, b: float, n: int, m: int | None, eps: float | N
         density = DesignDensity(model.dimension)
     start = time.perf_counter()
     kept, errored = _run_blocks(
-        lambda rng, lo, hi: _draw_block(model, ctx, scales, density, m, integrand,
+        lambda rng, lo, hi: _draw_block(model, ctx, zeta, density, m, integrand,
                                         hi - lo, rng),
         n, block_size(m), seed, workers)
     return kept, dict(b=float(b), m=m, seed=seed, errored=errored,
@@ -441,15 +440,11 @@ def _simulate(model: FieldModel, b: float, n: int, m: int | None, eps: float | N
 
 
 def estimate_tail(model: FieldModel, b: float, n: int, m: int | None = None, *,
-                  eps: float | None = None,
-                  density: DesignDensity | None = None, seed=0,
-                  workers: int | None = None,
-                  epsilon: float | None = None, delta: float | None = None,
-                  ) -> EstimateReport:
+                  eps: float | None = None, density: DesignDensity | None = None, seed=0,
+                  workers: int | None = None) -> EstimateReport:
     """Estimate P(sup_T f > b) from n independent tilted replicates."""
     kept, run = _simulate(model, b, n, m, eps, density, seed, workers, None)
-    return aggregate(log_values=kept.log_z, target="sup_tail", epsilon=epsilon, delta=delta,
-                     **run)
+    return aggregate(log_values=kept.log_z, target="sup_tail", **run)
 
 
 def estimate_tail_and_excursion(model: FieldModel, b: float, n: int,
@@ -457,8 +452,7 @@ def estimate_tail_and_excursion(model: FieldModel, b: float, n: int,
                                 integrand: IntegrandSpec | None = None,
                                 eps: float | None = None,
                                 density: DesignDensity | None = None, seed=0,
-                                workers: int | None = None,
-                                epsilon: float | None = None, delta: float | None = None,
+                                workers: int | None = None
                                 ) -> tuple[EstimateReport, EstimateReport]:
     """Joint run returning (tail report, excursion-integral report).
 
@@ -470,7 +464,7 @@ def estimate_tail_and_excursion(model: FieldModel, b: float, n: int,
         integrand = IntegrandSpec.constant(1.0, model)
     kept, run = _simulate(model, b, n, m, eps, density, seed, workers, integrand)
     return tuple(
-        aggregate(log_values=logs, target=target, epsilon=epsilon, delta=delta, **run)
+        aggregate(log_values=logs, target=target, **run)
         for target, logs in (("sup_tail", kept.log_z), ("excursion_integral", kept.log_y)))
 
 

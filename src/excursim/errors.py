@@ -13,7 +13,9 @@ class SingularModelError(ExcursimError):
     """A covariance matrix is indefinite beyond rounding, so it has no real factor.
 
     Raised when, after the pivoted Cholesky stops at the numerical rank, some
-    residual diagonal is below -1e-6 * trace/n.
+    residual diagonal is below -1e-6 * trace/n, or the residual probe (the
+    residual times a fixed positive vector) exceeds the bound that any
+    positive semidefinite residual obeys by more than 1e-6 * trace/n.
     """
 
 

@@ -136,7 +136,8 @@ class RegularityParams:
     1 - r(s, t) ~ c1 * |s - t|**alpha1, and (beta0, beta1) bound the increments
     of r.  ``constant_std`` distinguishes unit/constant standard deviation from
     a profile with a unique maximum, in which case ``alpha2``/``c2`` describe
-    the decay of std near its argmax ``std_argmax``.
+    the decay of std near that maximum.  They set ``design.cluster_scale``
+    and ``design.choose_m``.
     """
 
     alpha1: float
@@ -146,7 +147,6 @@ class RegularityParams:
     constant_std: bool = True
     alpha2: float | None = None
     c2: float | None = None
-    std_argmax: tuple | None = None
 
     def __post_init__(self):
         if not 0.0 < self.alpha1 <= 2.0:

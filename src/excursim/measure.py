@@ -189,21 +189,16 @@ def location_log_density(model: FieldModel, ctx: MeasureContext, points):
 # Sampling tau
 # ---------------------------------------------------------------------------
 
-def sample_tau(model: FieldModel, ctx: MeasureContext, rng, size: int | None = None):
-    """Draw locations from the proposal: a cell by its mass, then a uniform
-    point inside it.  One cell draws no cell index, so it consumes the stream
-    as ``domain.sample_uniform`` does.
-
-    Returns a (d,) point when ``size`` is None, else a (size, d) array.
+def sample_tau(model: FieldModel, ctx: MeasureContext, rng, size: int) -> np.ndarray:
+    """Draw ``size`` locations (size, d) from the proposal: a cell by its
+    mass, then a uniform point inside it.  One cell draws no cell index, so
+    it consumes the stream as ``domain.sample_uniform`` does.
     """
-    n = 1 if size is None else int(size)
     if ctx.cell_cum.size == 1:
-        draws = model.domain.sample_uniform(rng, n)
-    else:
-        idx = np.searchsorted(ctx.cell_cum, rng.random(n), side="right")
-        idx = np.minimum(idx, ctx.cell_cum.size - 1)
-        draws = ctx.cell_origin[idx] + rng.random((n, model.dimension)) * ctx.cell_size
-    return draws[0] if size is None else draws
+        return model.domain.sample_uniform(rng, size)
+    idx = np.searchsorted(ctx.cell_cum, rng.random(size), side="right")
+    idx = np.minimum(idx, ctx.cell_cum.size - 1)
+    return ctx.cell_origin[idx] + rng.random((size, model.dimension)) * ctx.cell_size
 
 
 def proposal_ratio(model: FieldModel, ctx: MeasureContext, points):
@@ -258,27 +253,26 @@ def _truncated_std_normal(rng, c: np.ndarray) -> np.ndarray:
     return out
 
 
-def sample_truncated_tail(mu0, sigma0, gamma: float, rng, size: int | None = None):
-    """Draw from N(mu0, sigma0^2) conditioned to exceed gamma.
+def sample_truncated_tail(mu0, sigma0, gamma: float, rng, size: int) -> np.ndarray:
+    """Draw ``size`` values, a (size,) array, from N(mu0, sigma0^2)
+    conditioned to exceed gamma.
 
     ``mu0`` and ``sigma0`` are scalars or arrays of shape (size,), one law per
-    draw, so a block of replicates draws every f(tau) in one call.  Returns a
-    scalar when ``size`` is None (a batch of one), else a (size,) array.
+    draw, so a block of replicates draws every f(tau) in one call.
     Uses plain rejection below standardized threshold 1 and
     shifted-exponential rejection above it; every output is strictly greater
     than gamma, for standardized thresholds up to ~40.
     """
-    n = 1 if size is None else int(size)
     mu = np.asarray(mu0, dtype=float)
     sigma = np.asarray(sigma0, dtype=float)
     if (sigma <= 0.0).any():
         raise ValueError("sigma0 must be positive")
-    c = np.empty(n)
+    c = np.empty(size)
     c[...] = (gamma - mu) / sigma
     out = mu + sigma * _truncated_std_normal(rng, c)
     bad = np.flatnonzero(out <= gamma)
     while bad.size:
-        mu_bad, sigma_bad = (np.broadcast_to(x, (n,))[bad] for x in (mu, sigma))
+        mu_bad, sigma_bad = (np.broadcast_to(x, (size,))[bad] for x in (mu, sigma))
         out[bad] = mu_bad + sigma_bad * _truncated_std_normal(rng, c[bad])
         bad = bad[out[bad] <= gamma]
-    return out[0] if size is None else out
+    return out

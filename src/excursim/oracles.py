@@ -2,10 +2,10 @@
 
 These are the independent references the adaptive estimator is validated
 against: the exact tail probability of the cosine process, the Rice tail of
-a smooth stationary process on an interval, exact expected
-excursion volumes via quadrature, an exact path simulator for the cosine
-process, a deterministic grid-maximum tail oracle, and a plain fixed-grid
-Monte Carlo baseline whose discretization bias the adaptive scheme avoids.
+a smooth stationary process on an interval, exact expected excursion
+volumes via quadrature, the exact supremum of cosine-process paths, a
+deterministic grid-maximum tail oracle, and a plain fixed-grid Monte Carlo
+baseline whose discretization bias the adaptive scheme avoids.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ __all__ = [
     "log_rice_tail",
     "expected_excursion_measure",
     "crude_grid_mc",
-    "CosinePath",
-    "cosine_exact_simulator",
     "cosine_sup_batch",
     "cosine_grid_tail",
 ]
@@ -133,29 +131,6 @@ def cosine_sup_batch(x: np.ndarray, y: np.ndarray, lo: float = 0.0,
     at_lo = x * math.cos(lo) + y * math.sin(lo)
     at_hi = x * math.cos(hi) + y * math.sin(hi)
     return np.where(inside, amp, np.maximum(at_lo, at_hi))
-
-
-class CosinePath:
-    """One exact path f(t) = X cos t + Y sin t with closed-form suprema."""
-
-    def __init__(self, x: float, y: float):
-        self.x = float(x)
-        self.y = float(y)
-
-    def value(self, t):
-        t = np.asarray(t, dtype=float)
-        return self.x * np.cos(t) + self.y * np.sin(t)
-
-    def sup(self, lo: float = 0.0, hi: float = 0.75) -> float:
-        if not lo < hi:
-            raise ValueError("need lo < hi")
-        return float(cosine_sup_batch(self.x, self.y, lo, hi))
-
-
-def cosine_exact_simulator(rng) -> CosinePath:
-    """Draw one exact cosine-process path (independent standard normal X, Y)."""
-    x, y = rng.standard_normal(2)
-    return CosinePath(x, y)
 
 
 # ---------------------------------------------------------------------------

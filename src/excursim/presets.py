@@ -1,15 +1,16 @@
 """Built-in experiment presets reproducing the four reference tables.
 
 Each preset fixes the field model, levels, replicate and design-point counts,
-the base design density (degrees of freedom and scale), and a default seed,
-so a single command reproduces a full table.  Design-density scales come from
-the published density formulas, renormalized to integrate to one (the printed
-normalizing constants are not consistent with true densities; see README).
+the base design density's degrees of freedom and scale (``cli.config_density``
+builds the density from them), the oracle of the true values, and a default
+seed, so a single command reproduces a full table.  Design-density scales come
+from the published density formulas, renormalized to integrate to one (the
+printed normalizing constants are not consistent with true densities; see
+README).
 """
 
 from __future__ import annotations
 
-from .design import DesignDensity
 from .field import (
     BoxDomain,
     CosineProcess,
@@ -26,7 +27,6 @@ __all__ = [
     "rough_trend_model",
     "PRESETS",
     "preset_model",
-    "preset_density",
 ]
 
 
@@ -95,10 +95,3 @@ PRESETS: dict[str, dict] = {
 def preset_model(name: str) -> FieldModel:
     return PRESETS[name]["model"]()
 
-
-def preset_density(name: str, dof: int | None = None, scale: float | None = None) -> DesignDensity:
-    spec = PRESETS[name]
-    model = spec["model"]()
-    return DesignDensity(model.dimension,
-                         dof if dof is not None else spec["dof"],
-                         scale if scale is not None else spec["scale"])

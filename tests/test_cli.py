@@ -212,18 +212,6 @@ class TestTableCommand:
         assert int(parse_csv(out)[0]["m"]) == ex.choose_m(0.5, model)
 
 
-class TestWorkersDefault:
-    def test_env_variable_controls_default(self, monkeypatch):
-        from excursim.cli import default_workers
-        monkeypatch.setenv("EXCURSIM_WORKERS", "3")
-        assert default_workers() == 3
-        monkeypatch.setenv("EXCURSIM_WORKERS", "not-a-number")
-        with pytest.raises(ConfigurationError):
-            default_workers()
-        monkeypatch.delenv("EXCURSIM_WORKERS")
-        assert default_workers() >= 1
-
-
 class TestEstimateCommand:
     def test_custom_cosine_run(self, capsys):
         code = main(["estimate", "--kernel", "cosine", "--domain", "0,0.75",
@@ -298,6 +286,20 @@ class TestRejectedInputs:
         code, out = run_cli(["pickands", "--alpha", "2", "--b", "6", "--n", "50",
                              "--eps", "0.5"], capsys)
         assert code == 2 and out == ""
+
+    @pytest.mark.parametrize("model_args, message", [
+        (["--kernel", "cosine", "--domain", "0,1;0,1"],
+         "kernel requires dimension 1, domain has 2"),
+        (["--kernel", "sqexp", "--domain", "0,1;0,1", "--mean", "linear:0.1"],
+         "linear mean needs one coefficient per axis (2)"),
+        (["--kernel", "sqexp", "--domain", "0,1", "--mean", "linear:0.1,0.2"],
+         "linear mean needs one coefficient per axis (1)"),
+    ])
+    def test_model_that_does_not_fit_the_domain(self, capsys, model_args, message):
+        code = main(["estimate", *model_args, "--b", "3", "--n", "10", "--m", "10"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
 
 class TestPickandsCommand:

@@ -12,29 +12,27 @@ from excursim.errors import ConfigurationError, IntegrandBoundsError, InvalidLev
 class TestClusterScale:
     def test_smooth_kernel_unit_constant(self, smooth_model):
         # solve c1 |s|^alpha1 = b^-2 for |s|^-1 with alpha1=2, c1=1
-        scales = ex.cluster_scale(smooth_model, 5.0)
-        assert scales.zeta1 == pytest.approx(5.0)
-        assert scales.zeta2 == 0.0
-        assert scales.zeta == pytest.approx(5.0)
+        zeta = ex.cluster_scale(smooth_model, 5.0)
+        assert isinstance(zeta, float)
+        assert zeta == pytest.approx(5.0)
 
     def test_rough_kernel_quarter_constant(self, rough_model):
         # |s|/4 = 1/16  ->  |s| = 1/4  ->  zeta = 4
-        assert ex.cluster_scale(rough_model, 4.0).zeta == pytest.approx(4.0)
+        assert ex.cluster_scale(rough_model, 4.0) == pytest.approx(4.0)
 
     def test_cosine_half_constant(self, cosine_model):
-        scales = ex.cluster_scale(cosine_model, 3.0)
-        assert scales.zeta == pytest.approx(3.0 / math.sqrt(2.0))
+        assert ex.cluster_scale(cosine_model, 3.0) == pytest.approx(3.0 / math.sqrt(2.0))
 
     def test_nonconstant_std_contributes_second_scale(self):
-        reg = ex.RegularityParams(alpha1=2.0, c1=1.0, beta0=1.0, beta1=1.0,
-                                  constant_std=False, alpha2=1.0, c2=2.0,
-                                  std_argmax=(0.5,))
-        model = ex.FieldModel(ex.BoxDomain([0.0], [1.0]), ex.SquaredExponential(),
-                              std=lambda p: 1.0 + 0.0 * p[:, 0], regularity=reg)
-        scales = ex.cluster_scale(model, 3.0)
-        assert scales.zeta1 == pytest.approx(3.0)
-        assert scales.zeta2 == pytest.approx(2.0 * 9.0)
-        assert scales.zeta == pytest.approx(18.0)
+        # zeta1 = 3 from the correlation; zeta2 = c2 * 9 from the std profile
+        def model(c2):
+            reg = ex.RegularityParams(alpha1=2.0, c1=1.0, beta0=1.0, beta1=1.0,
+                                      constant_std=False, alpha2=1.0, c2=c2)
+            return ex.FieldModel(ex.BoxDomain([0.0], [1.0]), ex.SquaredExponential(),
+                                 std=lambda p: 1.0 + 0.0 * p[:, 0], regularity=reg)
+
+        assert ex.cluster_scale(model(2.0), 3.0) == pytest.approx(2.0 * 9.0)
+        assert ex.cluster_scale(model(0.1), 3.0) == pytest.approx(3.0)
 
     def test_requires_rare_event_level(self, smooth_model):
         with pytest.raises(InvalidLevelError):
@@ -55,9 +53,6 @@ class TestChooseM:
         model = ex.FieldModel(ex.BoxDomain([0.0], [1.0]), ex.SquaredExponential())
         assert ex.choose_m(0.5, model) == 8  # ceil(0.5^-3)
 
-    def test_eps_one_gives_lambda(self, smooth_model):
-        assert ex.choose_m(1.0, smooth_model, lam=3.2) == 4
-
     def test_invalid_eps(self, smooth_model):
         for eps in (0.0, -0.1, 1.5):
             with pytest.raises(ValueError):
@@ -76,14 +71,15 @@ class TestDesignDensity:
     def test_bounded_by_peak(self, rng):
         density = ex.DesignDensity(2, 4, 0.625)
         pts = rng.standard_normal((200, 2)) * 3.0
-        assert (density.pdf(pts) <= density.peak + 1e-15).all()
+        peak = np.exp(density.log_pdf(np.zeros(2)))[0]
+        assert (np.exp(density.log_pdf(pts)) <= peak + 1e-15).all()
 
     def test_heavy_tail_exponent(self):
         # k(t) |t|^(d+dof) approaches a constant
         density = ex.DesignDensity(2, 4, 0.5)
         r1, r2 = 1e3, 1e4
-        v1 = float(density.pdf([r1, 0.0])[0]) * r1 ** 6
-        v2 = float(density.pdf([r2, 0.0])[0]) * r2 ** 6
+        v1 = math.exp(density.log_pdf([r1, 0.0])[0]) * r1 ** 6
+        v2 = math.exp(density.log_pdf([r2, 0.0])[0]) * r2 ** 6
         assert v1 == pytest.approx(v2, rel=1e-2)
 
     def test_median_radius_against_radial_quadrature(self):
@@ -93,11 +89,11 @@ class TestDesignDensity:
 
             def radial_mass(r):
                 val, _ = quad(lambda rho: surface * rho ** (dim - 1)
-                              * float(density.pdf(np.r_[rho, [0.0] * (dim - 1)])[0]),
+                              * math.exp(density.log_pdf(np.r_[rho, [0.0] * (dim - 1)])[0]),
                               0.0, r, limit=200)
                 return val
 
-            assert radial_mass(density.median_radius) == pytest.approx(0.5, abs=1e-8)
+            assert radial_mass(float(density.radius_ppf(0.5))) == pytest.approx(0.5, abs=1e-8)
 
     def test_radius_cdf_inverts_ppf(self):
         for density in (ex.DesignDensity(2, 4, 0.625), ex.DesignDensity(1, 3, 1.0)):
@@ -127,7 +123,7 @@ class TestDesignDensity:
         from scipy import stats
         density = ex.DesignDensity(1, 3, 1.0)
         x = np.linspace(-5, 5, 101)[:, None]
-        assert np.allclose(density.pdf(x), stats.t.pdf(x[:, 0], 3), rtol=1e-12)
+        assert np.allclose(np.exp(density.log_pdf(x)), stats.t.pdf(x[:, 0], 3), rtol=1e-12)
         draws = density.sample(rng, 20000)[:, 0]
         assert stats.kstest(draws, lambda v: stats.t.cdf(v, 3)).pvalue > 0.01
 
@@ -160,7 +156,7 @@ class TestRadiusPpf:
         assert np.all(np.diff(radii) >= 0.0)
 
     def test_scalar_input_and_scale(self):
-        median = ex.DesignDensity(1, 3, 1.0).median_radius
+        median = float(ex.DesignDensity(1, 3, 1.0).radius_ppf(0.5))
         reference = float(np.sqrt(fdtri(1, 3, 0.5)))
         assert abs(median - reference) <= self.ULP_TOLERANCE * np.spacing(reference)
         u = self._grid()[::97]
@@ -223,7 +219,7 @@ class TestSampleDesignPoints:
         domain = ex.BoxDomain([0.0, 0.0], [1.0, 1.0])
         zeta = 5.0
         rng = np.random.default_rng(9)
-        half = density.median_radius / zeta
+        half = float(density.radius_ppf(0.5)) / zeta
         count, total = 0, 10000
         draw = ex.sample_design_points([0.5, 0.5], zeta, total, density, domain, rng)
         dist = np.linalg.norm(draw.points - draw.tau, axis=1)
@@ -303,8 +299,8 @@ class TestVolumeEstimators:
         zeta, tau = 3.0, np.array([0.4, 0.6])
 
         def radial(r):
-            return 2 * math.pi * r * zeta ** 2 * float(
-                density.pdf(zeta * (np.array([tau[0] + r, tau[1]]) - tau))[0])
+            return 2 * math.pi * r * zeta ** 2 * math.exp(
+                density.log_pdf(zeta * (np.array([tau[0] + r, tau[1]]) - tau))[0])
 
         total = 0.0
         for lo, hi in [(0.0, 1.0), (1.0, 50.0), (50.0, np.inf)]:

@@ -31,7 +31,7 @@ def cosine_setup(cosine_model):
         "model": cosine_model,
         "b": b,
         "ctx": ex.measure_context(cosine_model, b),
-        "scales": ex.cluster_scale(cosine_model, b),
+        "zeta": ex.cluster_scale(cosine_model, b),
         "density": ex.DesignDensity(1, 3, 1.0),
     }
 
@@ -40,7 +40,7 @@ def _block_rows(s, m, integrand, size, seed):
     """A block drawn on stream ``seed``, the values f(tau) it drew (replayed
     from the same stream) and its hit indicators."""
     model, ctx = s["model"], s["ctx"]
-    block = _draw_block(model, ctx, s["scales"], s["density"], m, integrand, size,
+    block = _draw_block(model, ctx, s["zeta"], s["density"], m, integrand, size,
                         np.random.default_rng(seed))
     replay = np.random.default_rng(seed)
     taus = ex.sample_tau(model, ctx, replay, size=size)
@@ -60,8 +60,8 @@ class TestReplicates:
         b = 4.0
         setups = [(cosine_setup, 20), ({
             "model": smooth_model, "ctx": ex.measure_context(smooth_model, b),
-            "scales": ex.cluster_scale(smooth_model, b),
-            "density": ex.preset_density("table2")}, 40)]
+            "zeta": ex.cluster_scale(smooth_model, b),
+            "density": ex.DesignDensity(2, 4, 0.625)}, 40)]
         for s, m in setups:
             for size in (1, block_size(m)):
                 for i in range(-(-800 // size)):
@@ -145,7 +145,7 @@ class TestIntegrandBoundsInsideT:
     def test_violation_inside_t_drops_its_replicate(self, m):
         # a stacked block at m = 20, a block of one at m = 320
         model, b = _unit_sqexp(), 4.0
-        ctx, scales, density = (ex.measure_context(model, b), ex.cluster_scale(model, b),
+        ctx, zeta, density = (ex.measure_context(model, b), ex.cluster_scale(model, b),
                                 ex.DesignDensity(1))
         size = block_size(m)
         inside_t = model.domain.contains
@@ -153,7 +153,7 @@ class TestIntegrandBoundsInsideT:
         breaks_inside = ex.IntegrandSpec(lambda p: np.where(inside_t(p), 2.0, 1.0), 1.0, 1.0)
         breaks_outside = ex.IntegrandSpec(lambda p: np.where(inside_t(p), 1.0, 2.0), 1.0, 1.0)
         for seed in range(4):
-            dropped, kept = (_draw_block(model, ctx, scales, density, m, spec, size,
+            dropped, kept = (_draw_block(model, ctx, zeta, density, m, spec, size,
                                          np.random.default_rng((m, seed)))
                              for spec in (breaks_inside, breaks_outside))
             inside = dropped.draws.inside
@@ -391,12 +391,12 @@ class TestBlocks:
         domain = ex.BoxDomain([0.0], [1.0])
         clean = ex.FieldModel(domain, ex.SquaredExponential())
         b, m, n, seed = 4.0, 10, 2000, 12
-        ctx, scales = ex.measure_context(clean, b), ex.cluster_scale(clean, b)
+        ctx, zeta = ex.measure_context(clean, b), ex.cluster_scale(clean, b)
         density = ex.DesignDensity(1, 3, 1.0)
 
         def first_block(model):
             # the draws of block 0 of a run with this seed
-            return _draw_block(model, ctx, scales, density, m, None, block_size(m),
+            return _draw_block(model, ctx, zeta, density, m, None, block_size(m),
                                np.random.default_rng((seed, 0)))
 
         reference = first_block(clean)
@@ -474,7 +474,7 @@ class TestInsideOnlyDraws:
         b, m = 6.0, 320
         assert block_size(m) == 1
         return {"model": model, "b": b, "m": m, "ctx": ex.measure_context(model, b),
-                "scales": ex.cluster_scale(model, b), "density": ex.DesignDensity(1)}
+                "zeta": ex.cluster_scale(model, b), "density": ex.DesignDensity(1)}
 
     def _replay_design(self, s, seed):
         """The stream of ``seed`` replayed up to the design draw of a block of one."""
@@ -483,7 +483,7 @@ class TestInsideOnlyDraws:
         taus = ex.sample_tau(model, ctx, rng, size=1)
         values_at_tau = ex.sample_truncated_tail(model.mean_at(taus), model.std_at(taus),
                                                  ctx.gamma, rng, size=1)
-        draw = ex.sample_design_points(taus[0], s["scales"].zeta, s["m"], s["density"],
+        draw = ex.sample_design_points(taus[0], s["zeta"], s["m"], s["density"],
                                        model.domain, rng)
         return rng, taus[0], float(values_at_tau[0]), draw
 
@@ -492,7 +492,7 @@ class TestInsideOnlyDraws:
         for i in range(5):
             seed = (61, i)
             block_rng = np.random.default_rng(seed)
-            block = _draw_block(s["model"], s["ctx"], s["scales"], s["density"], s["m"],
+            block = _draw_block(s["model"], s["ctx"], s["zeta"], s["density"], s["m"],
                                 None, 1, block_rng)
             rng, tau, value, draw = self._replay_design(s, seed)
             inside = draw.inside
@@ -523,7 +523,7 @@ class TestInsideOnlyDraws:
         seed = (62, 0)
         rng = np.random.default_rng(seed)
         integrand = ex.IntegrandSpec.constant(1.0, s["model"])
-        block = _draw_block(s["model"], s["ctx"], s["scales"], s["density"], s["m"],
+        block = _draw_block(s["model"], s["ctx"], s["zeta"], s["density"], s["m"],
                             integrand, 1, rng)
         assert not block.draws.inside.any()
         assert np.isnan(block.field_values).all()
@@ -567,7 +567,7 @@ class TestProposalWeight:
         model, b, m, n = trend_model, 5.0, 40, 8000
         grid = ex.measure_context(model, b)
         one_cell = dataclasses.replace(grid, **_grid_sampler_tables(model, grid.gamma, 1))
-        scales, density = ex.cluster_scale(model, b), ex.preset_density("table3")
+        zeta, density = ex.cluster_scale(model, b), ex.DesignDensity(2, 4, 0.625)
 
         def corner(p):
             return 0.05 + np.prod(np.clip(1.0 - p, 0.0, 1.0), axis=1)
@@ -582,7 +582,7 @@ class TestProposalWeight:
             reports = []
             for j, ctx in enumerate((grid, one_cell)):
                 kept, errored = _run_blocks(
-                    lambda rng, lo, hi: _draw_block(model, ctx, scales, density, m, integrand,
+                    lambda rng, lo, hi: _draw_block(model, ctx, zeta, density, m, integrand,
                                                     hi - lo, rng),
                     n, block_size(m), (61, k, j), workers=1)
                 assert errored == 0

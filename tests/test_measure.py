@@ -108,7 +108,7 @@ class TestSampleTau:
         # one cell draws no cell index: the stream goes as domain.sample_uniform
         for model in (cosine_model, smooth_model):
             ctx = ex.measure_context(model, 4.0)
-            for size in (None, 1, 79):
+            for size in (1, 79):
                 tau = ex.sample_tau(model, ctx, np.random.default_rng(4), size=size)
                 uniform = model.domain.sample_uniform(np.random.default_rng(4), size)
                 assert tau.tobytes() == uniform.tobytes()
@@ -133,9 +133,10 @@ class TestSampleTau:
             assert coord.mean() > 0.5 + 4.0 * se
 
     def test_scalar_draw_shape_and_support(self, trend_model):
+        # a single draw keeps the (size, d) shape
         ctx = ex.measure_context(trend_model, 4.0)
-        tau = ex.sample_tau(trend_model, ctx, np.random.default_rng(7))
-        assert tau.shape == (2,)
+        tau = ex.sample_tau(trend_model, ctx, np.random.default_rng(7), size=1)
+        assert tau.shape == (1, 2)
         assert trend_model.domain.contains(tau)[0]
 
 
@@ -190,6 +191,7 @@ class TestTruncatedTail:
             assert abs(half.mean() - target) < 4.0 * se
 
     def test_scalar_draw(self, rng):
-        value = ex.sample_truncated_tail(0.0, 1.0, 5.0, rng)
-        assert np.isscalar(value) and value > 5.0
+        # scalar mu0 and sigma0 with one draw keep the (size,) shape
+        value = ex.sample_truncated_tail(0.0, 1.0, 5.0, rng, size=1)
+        assert value.shape == (1,) and value[0] > 5.0
 

@@ -74,32 +74,26 @@ class TestExpectedExcursionMeasure:
 
 
 class TestCosinePath:
+    # the exact supremum of X cos t + Y sin t, vectorized over paths
+
     def test_pure_cosine_component(self):
-        path = ex.CosinePath(1.0, 0.0)
-        assert path.sup(0.0, 0.75) == pytest.approx(1.0)
-        assert path.value(0.0) == pytest.approx(1.0)
+        assert ex.cosine_sup_batch(1.0, 0.0, 0.0, 0.75) == pytest.approx(1.0)
+        # over the one-point interval {0} the supremum is the value f(0)
+        assert ex.cosine_sup_batch(1.0, 0.0, 0.0, 0.0) == pytest.approx(1.0)
 
     def test_pure_sine_component(self):
-        path = ex.CosinePath(0.0, 1.0)
         # maximizer pi/2 lies outside [0, 3/4]; right endpoint wins
-        assert path.sup(0.0, 0.75) == pytest.approx(math.sin(0.75), rel=1e-12)
-
-    def test_simulator_draws_path(self, rng):
-        path = ex.cosine_exact_simulator(rng)
-        assert np.isfinite(path.sup())
+        assert ex.cosine_sup_batch(0.0, 1.0, 0.0, 0.75) == pytest.approx(math.sin(0.75),
+                                                                        rel=1e-12)
 
     def test_sup_matches_dense_grid(self, rng):
         grid = np.linspace(0.0, 0.75, 10000)
-        for _ in range(200):
-            path = ex.cosine_exact_simulator(rng)
-            grid_max = float(path.value(grid).max())
-            sup = path.sup(0.0, 0.75)
-            assert sup >= grid_max - 1e-12
-            assert sup - grid_max < 1e-8
-
-    def test_interval_validation(self):
-        with pytest.raises(ValueError):
-            ex.CosinePath(1.0, 1.0).sup(0.5, 0.5)
+        x, y = rng.standard_normal((2, 200))
+        grid_max = (np.outer(x, np.cos(grid)) + np.outer(y, np.sin(grid))).max(axis=1)
+        sup = ex.cosine_sup_batch(x, y, 0.0, 0.75)
+        assert sup.shape == (200,)
+        assert (sup >= grid_max - 1e-12).all()
+        assert (sup - grid_max < 1e-8).all()
 
 
 class TestCosineGridTail:

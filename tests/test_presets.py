@@ -3,6 +3,7 @@ import math
 import pytest
 
 import excursim as ex
+from excursim import cli
 
 
 class TestPresetCatalog:
@@ -26,10 +27,17 @@ class TestPresetCatalog:
         assert t4.regularity.c1 == pytest.approx(0.25)
 
     def test_preset_density_mirrors_spec_entries(self):
-        d1 = ex.preset_density("table1")
+        # the density the CLI and the benchmark build from a preset's config
+        def density(name, overrides):
+            return cli.config_density(cli.table_config(name, overrides), ex.preset_model(name))
+
+        for name, spec in ex.PRESETS.items():
+            d = density(name, {})
+            assert (d.dim, d.dof, d.scale) == (ex.preset_model(name).dimension,
+                                               spec["dof"], spec["scale"])
+        d1 = density("table1", {})
         assert (d1.dim, d1.dof, d1.scale) == (1, 3.0, 1.0)
-        d4 = ex.preset_density("table4", scale=0.7)
-        assert d4.scale == 0.7  # explicit override wins
+        assert density("table4", {"scale": 0.7}).scale == 0.7  # explicit override wins
 
     def test_replicate_counts_and_seeds_are_pinned(self):
         for name, spec in ex.PRESETS.items():

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from .design import DesignDensity
 from .engine import (
     EstimateReport,
+    _pickands_model,
     estimate_pickands,
     estimate_tail,
     estimate_tail_and_excursion,
@@ -381,7 +382,7 @@ def run_pickands(config: ExperimentConfig) -> list[dict]:
     if config.eps is not None:
         raise ConfigurationError("pickands runs take --m, not --eps")
     m = config.m if config.m is not None else 20
-    density = DesignDensity(1, config.dof, config.scale)
+    density = config_density(config, _pickands_model(config.alpha))
     rows = []
     for idx, b in enumerate(config.b):
         report = estimate_pickands(config.alpha, b, config.n, m, density=density,

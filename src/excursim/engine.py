@@ -9,6 +9,9 @@ fixed by m alone, through a byte budget for the block's covariance buffer, so
 results are independent of worker count; worker threads take whole blocks.
 Where B is 1 (m >= 256), the field is drawn only at the design points inside
 T, the only ones the estimators read; larger blocks draw it at all m points.
+At B = 1 a 1-d model with a built-in shape-2 kernel is drawn from kernel
+columns, without forming its covariance; every other model, and every larger
+block, is drawn from its assembled covariance.
 A run keeps per-replicate scalars only, as parallel arrays (log z, log y,
 mes, rank, ok).  Every estimator aggregates from the log weights, scaled by
 their largest value so that they stay finite where the weights underflow,
@@ -56,6 +59,7 @@ from .field import (
     FieldModel,
     PowerExponential,
     _conditional_draw_block,
+    _conditional_draw_single,
     log_gaussian_tail,
 )
 from .measure import (
@@ -205,19 +209,22 @@ def _draw_block(model: FieldModel, ctx: MeasureContext, zeta: float,
     locations, the values f(tau), the design points, the field values.
 
     A block of one calls the single-draw routines ``sample_design_points``,
-    ``mes_hat`` and ``alpha_hat`` (the field layer likewise takes
-    ``_conditional_draw``).  They consume the stream and round as the block
-    routines do, and per-call instrumentation of them, such as the
+    ``mes_hat`` and ``alpha_hat``.  They consume the stream and round as the
+    block routines do, and per-call instrumentation of them, such as the
     benchmark's tracer, sees one call per replicate.
 
     Where every block is one replicate (``block_size(m) == 1``), the field is
     drawn only at the design points inside T: the conditional law there is
     the marginal of the law at all m points, so the draw is exact and
-    consumes the rank normals of the inside covariance alone.  The outside
-    entries of ``field_values`` are NaN, which no estimator reads; a design
-    with no inside point draws no field and misses (mes, z and y are 0).  A
-    trailing block of one at smaller m draws at all m points, as its full
-    blocks do.
+    consumes the rank normals of the inside covariance alone.  The route
+    follows the model (``field._conditional_draw_single``): a 1-d model with
+    a built-in shape-2 kernel is factored from kernel columns
+    (``_column_factor``), any other through ``conditional_moments`` and
+    ``factor_psd``, once per replicate either way.  The outside entries of
+    ``field_values`` are NaN, which no estimator reads; a design with no
+    inside point draws no field and misses (mes, z and y are 0).  A trailing
+    block of one at smaller m draws at all m points, as its full blocks do,
+    through ``_conditional_draw``.
     """
     single = size == 1
     taus = sample_tau(model, ctx, rng, size=size)
@@ -233,7 +240,7 @@ def _draw_block(model: FieldModel, ctx: MeasureContext, zeta: float,
         field_values = np.full((1, m), np.nan)
         rank, errors = np.zeros(1, dtype=int), {}
         if draw.inside.any():
-            values, rank, errors = _conditional_draw_block(
+            values, rank, errors = _conditional_draw_single(
                 model, taus, values_at_tau, draw.points[draw.inside][None], rng)
             field_values[0, draw.inside] = values[0]
     else:
@@ -533,6 +540,12 @@ def pickands_estimate(alpha: float, b: float, w_hat: float) -> float:
     return math.exp(math.log(w_hat) - log_scale) if w_hat > 0.0 else 0.0
 
 
+def _pickands_model(alpha: float) -> FieldModel:
+    """The unit-interval model exp(-|t|**alpha) whose prefactor
+    :func:`estimate_pickands` estimates."""
+    return FieldModel(BoxDomain([0.0], [1.0]), PowerExponential(alpha, 1.0))
+
+
 def estimate_pickands(alpha: float, b: float, n: int, m: int = 20, *,
                       density: DesignDensity | None = None, seed=0,
                       workers: int | None = None) -> EstimateReport:
@@ -547,6 +560,5 @@ def estimate_pickands(alpha: float, b: float, n: int, m: int = 20, *,
     stay finite where w(b) underflows.
     """
     log_scale = _log_prefactor_scale(alpha, b)
-    model = FieldModel(BoxDomain([0.0], [1.0]), PowerExponential(alpha, 1.0))
-    kept, run = _simulate(model, b, n, m, None, density, seed, workers, None)
+    kept, run = _simulate(_pickands_model(alpha), b, n, m, None, density, seed, workers, None)
     return aggregate(log_values=kept.log_z - log_scale, target="pickands_constant", **run)

@@ -2,20 +2,23 @@
 
 A :class:`FieldModel` bundles a box domain, mean and standard-deviation
 functions, a correlation kernel, and the local regularity parameters of the
-kernel.  All sampling is exact at finite point sets: each covariance is
+kernel.  All sampling is exact at finite point sets.  A covariance is
 factored once, by Cholesky when it is positive definite and otherwise by a
-pivoted Cholesky that returns its numerical rank, and the Gaussian tail
+pivoted Cholesky that returns its numerical rank; a single conditional draw
+of a 1-d model with a built-in shape-2 kernel runs that pivoted Cholesky on
+kernel columns instead and never forms the covariance.  The Gaussian tail
 arithmetic is done through the complementary error function so that
 levels around ``b = 8`` (tail mass ~1e-16) keep full relative accuracy.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpstrf
+from scipy.linalg.lapack import dlamch, dpotrf, dpstrf
 from scipy.spatial.distance import cdist
 from scipy.special import log_ndtr, ndtr
 
@@ -100,10 +103,9 @@ class BoxDomain:
         pts = as_points(points, self.dimension)
         return np.all((pts >= self.lower) & (pts <= self.upper), axis=1)
 
-    def sample_uniform(self, rng, size=None):
-        """Uniform draws on the box: shape (d,) or (size, d)."""
-        shape = self.dimension if size is None else (size, self.dimension)
-        return self.lower + self.side_lengths * rng.random(shape)
+    def sample_uniform(self, rng, size: int):
+        """``size`` uniform draws on the box, shape (size, d)."""
+        return self.lower + self.side_lengths * rng.random((size, self.dimension))
 
     def __repr__(self):
         return f"BoxDomain(lower={self.lower.tolist()}, upper={self.upper.tolist()})"
@@ -551,12 +553,17 @@ def _residual_errors(a: np.ndarray, lt: np.ndarray, piv: np.ndarray, ranks) -> d
     errors = {}
     for i in np.flatnonzero((low < -tol) | (excess > tol)):
         if low[i] < -tol[i]:
-            detail = f"residual diagonal {low[i]:.3e} after rank {ranks[i]} is below {-tol[i]:.3e}"
+            errors[int(i)] = _low_residual_message(n, low[i], ranks[i], tol[i])
         else:
-            detail = (f"the residual probe after rank {ranks[i]} exceeds its positive "
-                      f"semidefinite bound by {excess[i]:.3e} > {tol[i]:.3e}")
-        errors[int(i)] = f"covariance of size n={n} is indefinite: {detail}"
+            errors[int(i)] = (f"covariance of size n={n} is indefinite: the residual probe "
+                              f"after rank {ranks[i]} exceeds its positive semidefinite bound "
+                              f"by {excess[i]:.3e} > {tol[i]:.3e}")
     return errors
+
+
+def _low_residual_message(n: int, low: float, rank: int, tol: float) -> str:
+    return (f"covariance of size n={n} is indefinite: residual diagonal {low:.3e} "
+            f"after rank {rank} is below {-tol:.3e}")
 
 
 def sample_joint(model: FieldModel, points, rng) -> np.ndarray:
@@ -753,6 +760,123 @@ def _conditional_draw_block(model: FieldModel, taus: np.ndarray, values_at_tau: 
     if errors:
         mean[list(errors)] = np.nan
     return mean, rank, errors
+
+
+# ---------------------------------------------------------------------------
+# Conditional draws from kernel columns
+# ---------------------------------------------------------------------------
+
+# Most columns a kernel-column factor takes, above every numerical rank the
+# 1-d shape-2 kernels reach at m = 320 (9 to 17); a covariance that needs
+# more is drawn by the dense route.
+_COLUMN_CAP = 64
+
+# dpstrf's default tolerance is n * dlamch('E') * max diagonal; dlamch('E')
+# is the unit roundoff, half of numpy's machine epsilon.
+_UNIT_ROUNDOFF = float(dlamch("E"))
+
+
+def _has_low_rank_columns(model: FieldModel) -> bool:
+    """True for a 1-d model whose kernel is a built-in shape-2 kernel
+    (``SquaredExponential``, ``PowerExponential(2, ell)``, ``CosineProcess``).
+
+    Their conditional covariances at a few hundred points have numerical
+    rank 2 to about 17, and they are positive semidefinite by construction.
+    Subclasses and user kernels do not qualify; in 2-d the ranks (43 to 59
+    for sqexp at m = 256) make the dense route faster.
+    """
+    kernel = model.kernel
+    if model.dimension != 1:
+        return False
+    if type(kernel) is CosineProcess:
+        return True
+    return type(kernel) in (PowerExponential, SquaredExponential) and kernel.shape == 2.0
+
+
+def _column_factor(model: FieldModel, tau: np.ndarray, value_at_tau: float,
+                   points: np.ndarray):
+    """Conditional mean and a factor F (n, r) of the conditional covariance
+    at ``points`` (n, d) given f(tau) = value_at_tau, or None when F would
+    need more than ``_COLUMN_CAP`` columns.
+
+    A pivoted Cholesky on kernel columns that never forms the n x n
+    covariance: the residual diagonal starts at sigma^2 (1 - r_tau^2), and
+    the column at pivot p is sigma sigma_p r(., t_p) - G G_p^T, with G the
+    columns taken so far behind the rank-one term sigma r_tau.  It pivots on
+    the largest residual diagonal and stops where dpstrf does.  The mean
+    reads only r_tau.  Points bit-equal to tau keep the value: they are
+    never pivoted and their factor rows are zero.
+
+    Non-finite kernel values carry into the factor, which is checked once
+    (:class:`ModelEvaluationError`); a residual diagonal below
+    -_INDEFINITE_TOL * trace/n raises :class:`SingularModelError`, as in
+    :func:`factor_psd`.  The residual probe of :func:`factor_psd` is not run:
+    it would cost the n^2 kernel values this route avoids, and the kernels
+    that take it (see :func:`_has_low_rank_columns`) are positive
+    semidefinite by construction.
+    """
+    n = points.shape[0]
+    tau = tau.reshape(1, -1)
+    sig = model.std_at(points)
+    r_tau = model.kernel(points, tau)[:, 0]
+    mean = (model.mean_at(points)
+            + (sig / model.std_at(tau)[0]) * r_tau * (value_at_tau - model.mean_at(tau)[0]))
+    pinned = (points == tau).all(axis=1)
+    mean[pinned] = value_at_tau
+    residual = sig * sig * (1.0 - r_tau * r_tau)
+    residual[pinned] = 0.0
+    trace = residual.sum()
+    stop = n * _UNIT_ROUNDOFF * residual.max()
+    # cols[0] is sigma r_tau; cols[1:rank + 1] are the columns of F
+    cols = np.empty((min(n, _COLUMN_CAP) + 1, n))
+    np.multiply(sig, r_tau, out=cols[0])
+    rank = 0
+    while rank < n:
+        p = int(residual.argmax())
+        pivot = residual[p]
+        if not pivot > stop:  # NaN stops too
+            break
+        if rank == _COLUMN_CAP:
+            return None
+        column = model.kernel(points, points[p:p + 1])[:, 0]
+        if model.constant_std != 1.0:
+            column *= sig * sig[p]
+        column -= cols[:rank + 1, p] @ cols[:rank + 1]
+        rank += 1
+        np.divide(column, math.sqrt(pivot), out=cols[rank])
+        residual -= np.square(cols[rank], out=column)
+        residual[p] = 0.0
+    if not np.isfinite(cols[:rank + 1]).all():
+        raise ModelEvaluationError("correlation function returned a non-finite value")
+    low, tol = residual.min(), _INDEFINITE_TOL * trace / n
+    if low < -tol:
+        raise SingularModelError(_low_residual_message(n, low, rank, tol))
+    factor = cols[1:rank + 1].T
+    factor[pinned] = 0.0
+    return mean, factor
+
+
+def _conditional_draw_single(model: FieldModel, taus: np.ndarray, values_at_tau: np.ndarray,
+                             points: np.ndarray, rng):
+    """Conditional draw of a block of one, ``points`` (1, n, d): returns
+    (values (1, n), rank (1,), errors) as :func:`_conditional_draw_block` does.
+
+    The route is set by the model alone.  A model for which
+    :func:`_has_low_rank_columns` holds is drawn from kernel columns
+    (:func:`_column_factor`), consuming its rank normals; every other model,
+    and a covariance that reaches the column cap (before any normal is
+    drawn), takes :func:`_conditional_draw_block`.
+    """
+    if _has_low_rank_columns(model):
+        try:
+            moments = _column_factor(model, taus[0], float(values_at_tau[0]), points[0])
+        except (ModelEvaluationError, SingularModelError) as exc:
+            return np.full((1, points.shape[1]), np.nan), np.zeros(1, dtype=int), {0: exc}
+        if moments is not None:
+            mean, factor = moments
+            values = mean + factor @ rng.standard_normal(factor.shape[1])
+            return values[None], np.array([factor.shape[1]]), {}
+    return _conditional_draw_block(model, taus, values_at_tau, points, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -414,24 +414,31 @@ class TestBlocks:
         report = ex.estimate_tail(model, b, n, m, density=density, seed=seed)
         assert report.errored == 1 and report.n == n - 1
 
-    @pytest.mark.parametrize("m, expected", [(256, 5), (40, 0)])
-    def test_only_blocks_of_one_call_the_single_draw_routines(self, monkeypatch, m, expected):
+    @pytest.mark.parametrize("kernel, m, expected", [
+        pytest.param(ex.SquaredExponential(), 256, 5, id="256-5"),
+        pytest.param(ex.Exponential(), 256, 5, id="exponential-256-5"),
+        pytest.param(ex.SquaredExponential(), 40, 0, id="40-0")])
+    def test_only_blocks_of_one_call_the_single_draw_routines(self, monkeypatch, kernel, m,
+                                                              expected):
         # per-call instrumentation of these names sees one call per replicate
         # where a block is one replicate, and blocks pass no arrays through them
-        # the names the benchmark's tracer patches
+        # the names the benchmark's tracer patches, and the kernel-column factor
+        # that draws the field of 1-d shape-2 kernels there instead
         patched = [(engine, name) for name in ("sample_design_points", "mes_hat", "alpha_hat")]
-        patched += [(field, name) for name in ("conditional_moments", "factor_psd")]
+        dense = [(field, name) for name in ("conditional_moments", "factor_psd")]
+        columns = [(field, "_column_factor")]
         calls = collections.Counter()
-        for module, name in patched:
+        for module, name in patched + dense + columns:
             def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
                 calls[_name] += 1
                 return _original(*args, **kwargs)
             monkeypatch.setattr(module, name, counted)
-        model = ex.FieldModel(ex.BoxDomain([0.0], [1.0]), ex.SquaredExponential())
+        model = ex.FieldModel(ex.BoxDomain([0.0], [1.0]), kernel)
         ex.estimate_tail_and_excursion(model, 4.0, 5, m, density=ex.DesignDensity(1, 3, 1.0),
                                        seed=1, workers=1)
         assert block_size(m) == (1 if expected else 79)
-        assert calls == collections.Counter({name: expected for _, name in patched})
+        field_route = columns if isinstance(kernel, ex.SquaredExponential) else dense
+        assert calls == collections.Counter({name: expected for _, name in patched + field_route})
 
     def test_threads_keep_their_own_block_buffers(self, smooth_model):
         # six blocks of 79 on four threads, switching as often as possible
@@ -500,14 +507,54 @@ class TestInsideOnlyDraws:
             assert 0 < np.count_nonzero(inside) < s["m"]
             assert np.isnan(block.field_values[0, ~inside]).all()
             assert np.isfinite(block.field_values[0, inside]).all()
-            # the draw is the conditional law of the inside points alone
-            mean, cov, _ = ex.conditional_moments(s["model"], tau, value,
-                                                  draw.points[inside])
-            factor, _ = ex.factor_psd(cov)
+            # the draw comes from the kernel-column factor of the inside points
+            mean, factor = field._column_factor(s["model"], tau, value, draw.points[inside])
             assert block.rank[0] == factor.shape[1] < np.count_nonzero(inside)
             expected = mean + factor @ rng.standard_normal(factor.shape[1])
             assert np.array_equal(block.field_values[0, inside], expected)
             assert rng.bit_generator.state == block_rng.bit_generator.state
+            # whose law is the conditional law of the inside points alone
+            dense_mean, cov, _ = ex.conditional_moments(s["model"], tau, value,
+                                                        draw.points[inside])
+            assert np.allclose(mean, dense_mean, rtol=0.0, atol=1e-12)
+            assert np.allclose(factor @ factor.T, cov, rtol=0.0, atol=1e-12)
+
+    def _check_dense_route(self, s, seed) -> int:
+        """Check that the block of one on stream ``seed`` is bit-equal to the
+        dense route replayed from the same stream; returns its rank."""
+        block_rng = np.random.default_rng(seed)
+        block = _draw_block(s["model"], s["ctx"], s["zeta"], s["density"], s["m"], None, 1,
+                            block_rng)
+        rng, tau, value, draw = self._replay_design(s, seed)
+        values, rank, _ = field._conditional_draw_block(
+            s["model"], tau[None], np.array([value]), draw.points[draw.inside][None], rng)
+        assert block.errors == {} and block.rank.tolist() == rank.tolist()
+        assert np.array_equal(block.field_values[0, draw.inside], values[0])
+        assert rng.bit_generator.state == block_rng.bit_generator.state
+        return int(rank[0])
+
+    def test_a_draw_past_the_column_cap_takes_the_dense_route(self, large_m, monkeypatch):
+        monkeypatch.setattr(field, "_COLUMN_CAP", 4)
+        for i in range(3):
+            assert self._check_dense_route(large_m, (65, i)) > 4
+
+    def test_user_kernels_take_the_dense_route(self, large_m):
+        base = ex.SquaredExponential()
+        wrapped = ex.FieldModel(large_m["model"].domain, lambda a, b, out=None: base(a, b, out=out),
+                                regularity=base.regularity)
+        assert not field._has_low_rank_columns(wrapped)
+        self._check_dense_route({**large_m, "model": wrapped}, (66, 0))
+
+        # an indefinite user kernel is still caught, and drops its replicate
+        seed = (66, 1)
+        _, _, _, draw = self._replay_design(large_m, seed)
+        faulty = ex.FieldModel(large_m["model"].domain,
+                               _faulty_kernel(draw.points[draw.inside][0], "indefinite"),
+                               regularity=base.regularity)
+        block = _draw_block(faulty, large_m["ctx"], large_m["zeta"], large_m["density"],
+                            large_m["m"], None, 1, np.random.default_rng(seed))
+        assert list(block.errors) == [0] and isinstance(block.errors[0], SingularModelError)
+        assert "is indefinite" in str(block.errors[0])
 
     def test_design_outside_t_draws_no_field(self, large_m, monkeypatch):
         s = large_m

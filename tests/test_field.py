@@ -496,6 +496,94 @@ class TestConditional:
         assert abs(draws.mean() - target_mean) < 4.0 * math.sqrt(target_var / n)
 
 
+def _inside_draws(count: int):
+    """(tau, f(tau), inside points) of ``count`` m = 320 replicates of the
+    1-d unit sqexp model at b = 6, drawn as the engine draws them."""
+    model = ex.FieldModel(ex.BoxDomain([0.0], [1.0]), ex.SquaredExponential())
+    ctx, zeta = ex.measure_context(model, 6.0), ex.cluster_scale(model, 6.0)
+    density = ex.DesignDensity(1)
+    draws = []
+    for i in range(count):
+        rng = np.random.default_rng((67, i))
+        tau = ex.sample_tau(model, ctx, rng, size=1)
+        value = ex.sample_truncated_tail(model.mean_at(tau), model.std_at(tau), ctx.gamma, rng,
+                                         size=1)
+        design = ex.sample_design_points(tau[0], zeta, 320, density, model.domain, rng)
+        draws.append((tau[0], float(value[0]), design.points[design.inside]))
+    return draws
+
+
+class TestColumnFactor:
+    # kernel columns draw the field of 1-d shape-2 kernels at blocks of one
+
+    @pytest.mark.parametrize("kernel, d, qualifies", [
+        (ex.SquaredExponential(), 1, True),
+        (ex.PowerExponential(2.0, 0.5), 1, True),
+        (ex.CosineProcess(), 1, True),
+        (ex.Exponential(), 1, False),
+        (ex.PowerExponential(1.5), 1, False),
+        (ex.SquaredExponential(), 2, False),
+        (type("Subclass", (ex.SquaredExponential,), {})(), 1, False),
+        (lambda a, b, out=None: ex.SquaredExponential()(a, b, out=out), 1, False)])
+    def test_route_is_set_by_the_model(self, kernel, d, qualifies):
+        model = ex.FieldModel(ex.BoxDomain(np.zeros(d), np.ones(d)), kernel,
+                              regularity=ex.SquaredExponential().regularity)
+        assert field._has_low_rank_columns(model) == qualifies
+
+    @pytest.mark.parametrize("kernel, std", [
+        pytest.param(ex.SquaredExponential(), 1.0, id="sqexp"),
+        pytest.param(ex.CosineProcess(), 1.0, id="cosine"),
+        pytest.param(ex.SquaredExponential(), lambda p: 1.0 + 0.5 * p[:, 0], id="sqexp-std"),
+        pytest.param(ex.PowerExponential(2.0, 0.5), 2.5, id="powerexp-2")])
+    def test_factor_reproduces_the_conditional_moments(self, kernel, std):
+        model = ex.FieldModel(ex.BoxDomain([0.0], [1.0]), kernel, std=std,
+                              mean=ex.LinearMean([0.1]))
+        for tau, value, points in _inside_draws(4):
+            mean, cov, _ = ex.conditional_moments(model, tau, value, points)
+            c_mean, factor = field._column_factor(model, tau, value, points)
+            dense, _ = ex.factor_psd(cov)
+            assert factor.shape == (points.shape[0], factor.shape[1])
+            assert abs(factor.shape[1] - dense.shape[1]) <= 1
+            assert np.allclose(c_mean, mean, rtol=0.0, atol=1e-12)
+            assert np.max(np.abs(factor @ factor.T - cov)) <= 1e-12
+
+    def test_pinned_points_reproduce_the_value(self):
+        model = ex.FieldModel(ex.BoxDomain([0.0], [1.0]), ex.SquaredExponential(), std=1.5)
+        tau, value, points = _inside_draws(1)[0]
+        points = points.copy()
+        points[[3, 100]] = tau
+        mean, factor = field._column_factor(model, tau, value, points)
+        assert mean[3] == mean[100] == value
+        assert not factor[[3, 100]].any()
+        values, rank, errors = field._conditional_draw_single(
+            model, tau[None], np.array([value]), points[None], np.random.default_rng(2))
+        assert errors == {} and rank[0] == factor.shape[1]
+        assert values[0, 3] == values[0, 100] == value
+
+    def test_non_finite_kernel_column_drops_the_draw(self):
+        model = ex.FieldModel(ex.BoxDomain([0.0], [1.0]), ex.SquaredExponential())
+        tau, value, points = _inside_draws(1)[0]
+        points = points.copy()
+        points[5] = np.nan
+        rng = np.random.default_rng(3)
+        values, rank, errors = field._conditional_draw_single(
+            model, tau[None], np.array([value]), points[None], rng)
+        assert list(errors) == [0] and isinstance(errors[0], ModelEvaluationError)
+        assert str(errors[0]) == "correlation function returned a non-finite value"
+        assert np.isnan(values).all() and rank.tolist() == [0]
+        assert rng.bit_generator.state == np.random.default_rng(3).bit_generator.state
+
+    def test_low_residual_diagonal_raises_in_the_dense_words(self, monkeypatch):
+        # a built-in kernel cannot fail the test; a negative tolerance makes it fire
+        model = ex.FieldModel(ex.BoxDomain([0.0], [1.0]), ex.SquaredExponential())
+        tau, value, points = _inside_draws(1)[0]
+        monkeypatch.setattr(field, "_INDEFINITE_TOL", -1.0)
+        with pytest.raises(SingularModelError,
+                           match=rf"^covariance of size n={points.shape[0]} is indefinite: "
+                                 r"residual diagonal .* after rank \d+ is below "):
+            field._column_factor(model, tau, value, points)
+
+
 # ---------------------------------------------------------------------------
 # Gaussian tails
 # ---------------------------------------------------------------------------

@@ -10,8 +10,9 @@ results are independent of worker count; worker threads take whole blocks.
 Where B is 1 (m >= 256), the field is drawn only at the design points inside
 T, the only ones the estimators read; larger blocks draw it at all m points.
 At B = 1 a 1-d model with a built-in shape-2 kernel is drawn from kernel
-columns, without forming its covariance; every other model, and every larger
-block, is drawn from its assembled covariance.
+columns and a 1-d exponential model as a Markov chain outward from tau, both
+without forming a covariance; every other model, and every larger block, is
+drawn from its assembled covariance.
 A run keeps per-replicate scalars only, as parallel arrays (log z, log y,
 mes, rank, ok).  Every estimator aggregates from the log weights, scaled by
 their largest value so that they stay finite where the weights underflow,
@@ -162,9 +163,12 @@ class ReplicateArrays:
 
     ``log_z`` and ``log_y`` are log z_hat and log y_hat (-inf on a miss, and
     ``log_y`` stays -inf when no integral is estimated); ``mes`` is the volume
-    estimate and ``rank`` the numerical rank of the conditional covariance
-    the field was drawn from: of all m design points in a block of B > 1,
-    of the points inside T alone where B is 1 (0 when none is inside).
+    estimate and ``rank`` the rank of the conditional covariance the field
+    was drawn from, the number of normals its draw took: of all m design
+    points in a block of B > 1, of the points inside T alone where B is 1
+    (0 when none is inside).  It is the numerical rank of a factored
+    covariance, at most 64 on the kernel-column route, and exact on the
+    Markov-chain route (the distinct inside points other than tau).
     ``ok`` is False for a dropped replicate, whose other entries mean nothing.
     """
 
@@ -217,10 +221,11 @@ def _draw_block(model: FieldModel, ctx: MeasureContext, zeta: float,
     drawn only at the design points inside T: the conditional law there is
     the marginal of the law at all m points, so the draw is exact and
     consumes the rank normals of the inside covariance alone.  The route
-    follows the model (``field._conditional_draw_single``): a 1-d model with
-    a built-in shape-2 kernel is factored from kernel columns
-    (``_column_factor``), any other through ``conditional_moments`` and
-    ``factor_psd``, once per replicate either way.  The outside entries of
+    follows the model (``field._conditional_draw_single``), once per
+    replicate: a 1-d model with a built-in shape-2 kernel is factored from
+    kernel columns (``_column_factor``), a 1-d exponential model is drawn as
+    a Markov chain outward from tau (``_markov_draw``), and any other goes
+    through ``conditional_moments`` and ``factor_psd``.  The outside entries of
     ``field_values`` are NaN, which no estimator reads; a design with no
     inside point draws no field and misses (mes, z and y are 0).  A trailing
     block of one at smaller m draws at all m points, as its full blocks do,

@@ -4,9 +4,11 @@ A :class:`FieldModel` bundles a box domain, mean and standard-deviation
 functions, a correlation kernel, and the local regularity parameters of the
 kernel.  All sampling is exact at finite point sets.  A covariance is
 factored once, by Cholesky when it is positive definite and otherwise by a
-pivoted Cholesky that returns its numerical rank; a single conditional draw
-of a 1-d model with a built-in shape-2 kernel runs that pivoted Cholesky on
-kernel columns instead and never forms the covariance.  The Gaussian tail
+pivoted Cholesky that returns its numerical rank.  A single conditional draw
+of a 1-d model forms no covariance when its kernel is built in: a shape-2
+kernel runs that pivoted Cholesky on kernel columns, and the exponential
+kernel, which is Markov on the line, is drawn as an AR(1) chain outward from
+the conditioning point in O(n).  The Gaussian tail
 arithmetic is done through the complementary error function so that
 levels around ``b = 8`` (tail mass ~1e-16) keep full relative accuracy.
 """
@@ -18,7 +20,7 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dlamch, dpotrf, dpstrf
+from scipy.linalg.lapack import dlamch, dpotrf, dpstrf, dtbtrs
 from scipy.spatial.distance import cdist
 from scipy.special import log_ndtr, ndtr
 
@@ -793,6 +795,21 @@ def _has_low_rank_columns(model: FieldModel) -> bool:
     return type(kernel) in (PowerExponential, SquaredExponential) and kernel.shape == 2.0
 
 
+def _kernel_column(kernel, t: np.ndarray, p: int, out: np.ndarray) -> np.ndarray:
+    """Column r(t, t_p) of a kernel that takes :func:`_column_factor`, at the
+    1-d points ``t`` (n,), into ``out``: the kernel's own steps after the
+    subtraction, so bit-equal to ``kernel(points, points[p:p + 1])[:, 0]``
+    ((h / ell)**2 equals (|h| / ell)**2 exactly), without its array set-up."""
+    np.subtract(t, t[p], out=out)
+    if type(kernel) is CosineProcess:
+        return np.cos(out, out=out)
+    if kernel.ell != 1.0:
+        out /= kernel.ell
+    np.multiply(out, out, out=out)
+    np.negative(out, out=out)
+    return np.exp(out, out=out)
+
+
 def _column_factor(model: FieldModel, tau: np.ndarray, value_at_tau: float,
                    points: np.ndarray):
     """Conditional mean and a factor F (n, r) of the conditional covariance
@@ -830,6 +847,7 @@ def _column_factor(model: FieldModel, tau: np.ndarray, value_at_tau: float,
     # cols[0] is sigma r_tau; cols[1:rank + 1] are the columns of F
     cols = np.empty((min(n, _COLUMN_CAP) + 1, n))
     np.multiply(sig, r_tau, out=cols[0])
+    column = np.empty(n)
     rank = 0
     while rank < n:
         p = int(residual.argmax())
@@ -838,7 +856,7 @@ def _column_factor(model: FieldModel, tau: np.ndarray, value_at_tau: float,
             break
         if rank == _COLUMN_CAP:
             return None
-        column = model.kernel(points, points[p:p + 1])[:, 0]
+        _kernel_column(model.kernel, points[:, 0], p, column)
         if model.constant_std != 1.0:
             column *= sig * sig[p]
         column -= cols[:rank + 1, p] @ cols[:rank + 1]
@@ -856,6 +874,66 @@ def _column_factor(model: FieldModel, tau: np.ndarray, value_at_tau: float,
     return mean, factor
 
 
+# ---------------------------------------------------------------------------
+# Conditional draws of the 1-d exponential kernel as a Markov chain
+# ---------------------------------------------------------------------------
+
+def _is_markov(model: FieldModel) -> bool:
+    """True for a 1-d model whose kernel type is exactly ``Exponential`` or
+    ``PowerExponential`` with shape 1: the Ornstein-Uhlenbeck correlation,
+    which is Markov on the line (in 2-d exp(-|s - t| / ell) is not)."""
+    kernel = model.kernel
+    return (model.dimension == 1 and type(kernel) in (PowerExponential, Exponential)
+            and kernel.shape == 1.0)
+
+
+def _markov_draw(model: FieldModel, tau: np.ndarray, value_at_tau: float,
+                 points: np.ndarray, rng):
+    """Exact draw at ``points`` (n, 1) given f(tau) = value_at_tau for a model
+    where :func:`_is_markov` holds; returns (values, rank).
+
+    The standardized field x = (f - mu) / sigma is then an AR(1) chain that
+    walks outward from x_tau = (v - mu(tau)) / sigma(tau): right of tau in
+    ascending order, left of it in descending order.  With gap g to the
+    previous point (tau first), x_k = rho x_{k-1} + s z_k, rho = exp(-g / ell)
+    and s = sqrt(-expm1(-2 g / ell)); both walks are one unit-lower-bidiagonal
+    solve (``dtbtrs``), and values are mu + sigma x.  Points bit-equal to tau
+    keep the value; they and exact duplicates (s = 0) take no normal, so the
+    rank, the number of normals drawn, is the exact rank of the conditional
+    covariance.  A non-finite point raises :class:`ModelEvaluationError`
+    before any normal is drawn.  The chain is an exact factor, positive
+    semidefinite by construction, so neither the residual tests nor
+    :class:`SingularModelError` apply here.
+    """
+    t, t0 = points[:, 0], tau[0]
+    if not np.isfinite(t).all():
+        raise ModelEvaluationError("correlation function returned a non-finite value")
+    mean, sig = model.mean_at(points), model.std_at(points)
+    x_tau = (value_at_tau - model.mean_at(tau)[0]) / model.std_at(tau)[0]
+    n = t.size
+    order = np.argsort(t, kind="stable")
+    right = t[order] >= t0
+    chain = np.concatenate([order[right], order[~right][::-1]])
+    first = np.zeros(n, dtype=bool)
+    first[[0, np.count_nonzero(right) % n]] = True  # the first step of each walk
+    steps = t[chain]
+    gap = np.abs(steps - np.where(first, t0, np.roll(steps, 1))) / model.kernel.ell
+    rho = np.exp(-gap)
+    scale = np.sqrt(-np.expm1(-2.0 * gap))
+    drawn = scale > 0.0
+    rank = int(np.count_nonzero(drawn))
+    rhs = np.where(first, rho * x_tau, 0.0)
+    rhs[drawn] += scale[drawn] * rng.standard_normal(rank)
+    band = np.zeros((2, n), order="F")  # unit diagonal; row 1 is the subdiagonal
+    np.negative(rho[1:], out=band[1, :-1], where=~first[1:])
+    x, _ = dtbtrs(band, rhs[:, None], uplo="L", diag="U", overwrite_b=1)
+    values = np.empty(n)
+    values[chain] = x[:, 0]
+    values = mean + sig * values
+    values[t == t0] = value_at_tau
+    return values, rank
+
+
 def _conditional_draw_single(model: FieldModel, taus: np.ndarray, values_at_tau: np.ndarray,
                              points: np.ndarray, rng):
     """Conditional draw of a block of one, ``points`` (1, n, d): returns
@@ -863,9 +941,10 @@ def _conditional_draw_single(model: FieldModel, taus: np.ndarray, values_at_tau:
 
     The route is set by the model alone.  A model for which
     :func:`_has_low_rank_columns` holds is drawn from kernel columns
-    (:func:`_column_factor`), consuming its rank normals; every other model,
-    and a covariance that reaches the column cap (before any normal is
-    drawn), takes :func:`_conditional_draw_block`.
+    (:func:`_column_factor`), consuming its rank normals; a model for which
+    :func:`_is_markov` holds is drawn as a chain (:func:`_markov_draw`);
+    every other model, and a covariance that reaches the column cap (before
+    any normal is drawn), takes :func:`_conditional_draw_block`.
     """
     if _has_low_rank_columns(model):
         try:
@@ -876,6 +955,12 @@ def _conditional_draw_single(model: FieldModel, taus: np.ndarray, values_at_tau:
             mean, factor = moments
             values = mean + factor @ rng.standard_normal(factor.shape[1])
             return values[None], np.array([factor.shape[1]]), {}
+    elif _is_markov(model):
+        try:
+            values, rank = _markov_draw(model, taus[0], float(values_at_tau[0]), points[0], rng)
+        except ModelEvaluationError as exc:
+            return np.full((1, points.shape[1]), np.nan), np.zeros(1, dtype=int), {0: exc}
+        return values[None], np.array([rank]), {}
     return _conditional_draw_block(model, taus, values_at_tau, points, rng)
 
 

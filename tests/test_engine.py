@@ -414,21 +414,24 @@ class TestBlocks:
         report = ex.estimate_tail(model, b, n, m, density=density, seed=seed)
         assert report.errored == 1 and report.n == n - 1
 
-    @pytest.mark.parametrize("kernel, m, expected", [
-        pytest.param(ex.SquaredExponential(), 256, 5, id="256-5"),
-        pytest.param(ex.Exponential(), 256, 5, id="exponential-256-5"),
-        pytest.param(ex.SquaredExponential(), 40, 0, id="40-0")])
+    @pytest.mark.parametrize("kernel, m, expected, route", [
+        pytest.param(ex.SquaredExponential(), 256, 5, "columns", id="256-5"),
+        pytest.param(ex.Exponential(), 256, 5, "chain", id="exponential-256-5"),
+        pytest.param(ex.PowerExponential(1.5), 256, 5, "dense", id="powerexp1.5-256-5"),
+        pytest.param(ex.SquaredExponential(), 40, 0, "columns", id="40-0")])
     def test_only_blocks_of_one_call_the_single_draw_routines(self, monkeypatch, kernel, m,
-                                                              expected):
+                                                              expected, route):
         # per-call instrumentation of these names sees one call per replicate
         # where a block is one replicate, and blocks pass no arrays through them
-        # the names the benchmark's tracer patches, and the kernel-column factor
-        # that draws the field of 1-d shape-2 kernels there instead
+        # the names the benchmark's tracer patches, the kernel-column factor
+        # that draws the field of 1-d shape-2 kernels there instead, and the
+        # chain that draws the 1-d exponential kernel
         patched = [(engine, name) for name in ("sample_design_points", "mes_hat", "alpha_hat")]
-        dense = [(field, name) for name in ("conditional_moments", "factor_psd")]
-        columns = [(field, "_column_factor")]
+        routes = {"dense": [(field, name) for name in ("conditional_moments", "factor_psd")],
+                  "columns": [(field, "_column_factor")],
+                  "chain": [(field, "_markov_draw")]}
         calls = collections.Counter()
-        for module, name in patched + dense + columns:
+        for module, name in patched + sum(routes.values(), []):
             def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
                 calls[_name] += 1
                 return _original(*args, **kwargs)
@@ -437,8 +440,8 @@ class TestBlocks:
         ex.estimate_tail_and_excursion(model, 4.0, 5, m, density=ex.DesignDensity(1, 3, 1.0),
                                        seed=1, workers=1)
         assert block_size(m) == (1 if expected else 79)
-        field_route = columns if isinstance(kernel, ex.SquaredExponential) else dense
-        assert calls == collections.Counter({name: expected for _, name in patched + field_route})
+        assert calls == collections.Counter({name: expected
+                                             for _, name in patched + routes[route]})
 
     def test_threads_keep_their_own_block_buffers(self, smooth_model):
         # six blocks of 79 on four threads, switching as often as possible
@@ -518,6 +521,24 @@ class TestInsideOnlyDraws:
                                                         draw.points[inside])
             assert np.allclose(mean, dense_mean, rtol=0.0, atol=1e-12)
             assert np.allclose(factor @ factor.T, cov, rtol=0.0, atol=1e-12)
+
+    def test_exponential_draws_the_chain_of_the_inside_points(self):
+        model = ex.FieldModel(ex.BoxDomain([0.0], [1.0]), ex.Exponential(0.5))
+        b, m = 6.0, 320
+        s = {"model": model, "m": m, "ctx": ex.measure_context(model, b),
+             "zeta": ex.cluster_scale(model, b), "density": ex.DesignDensity(1)}
+        for i in range(3):
+            seed = (68, i)
+            block_rng = np.random.default_rng(seed)
+            block = _draw_block(model, s["ctx"], s["zeta"], s["density"], m, None, 1, block_rng)
+            rng, tau, value, draw = self._replay_design(s, seed)
+            inside = draw.inside
+            assert np.isnan(block.field_values[0, ~inside]).all()
+            values, rank = field._markov_draw(model, tau, value, draw.points[inside], rng)
+            assert block.errors == {} and block.rank.tolist() == [rank]
+            assert rank == np.setdiff1d(draw.points[inside], tau).size  # distinct, not tau
+            assert np.array_equal(block.field_values[0, inside], values)
+            assert rng.bit_generator.state == block_rng.bit_generator.state
 
     def _check_dense_route(self, s, seed) -> int:
         """Check that the block of one on stream ``seed`` is bit-equal to the

@@ -584,6 +584,122 @@ class TestColumnFactor:
             field._column_factor(model, tau, value, points)
 
 
+class _Normals:
+    """Stands in for a Generator: hands out the given normals in order and
+    counts them."""
+
+    def __init__(self, normals):
+        self.normals = np.asarray(normals, dtype=float)
+        self.taken = 0
+
+    def standard_normal(self, size):
+        out = self.normals[self.taken:self.taken + size]
+        assert out.size == size
+        self.taken += size
+        return out
+
+
+def _markov_moments(model, tau, value, points):
+    """(mean, F, rank) of the chain draw, F built column by column by feeding
+    unit normals: the draw is mean + F z."""
+    n = points.shape[0]
+    mean, rank = field._markov_draw(model, tau, value, points, _Normals(np.zeros(n)))
+    factor = np.empty((n, rank))
+    for j in range(rank):
+        values, _ = field._markov_draw(model, tau, value, points, _Normals(np.eye(rank)[j]))
+        factor[:, j] = values - mean
+    return mean, factor, rank
+
+
+def _exponential_model(kernel=None, d=1, **kwargs):
+    return ex.FieldModel(ex.BoxDomain(np.zeros(d), np.ones(d)),
+                         ex.Exponential() if kernel is None else kernel,
+                         regularity=ex.Exponential().regularity, **kwargs)
+
+
+class TestMarkovDraw:
+    # the 1-d exponential kernel is drawn as an AR(1) chain outward from tau
+
+    @pytest.mark.parametrize("kernel, d, markov", [
+        pytest.param(ex.Exponential(), 1, True, id="exponential"),
+        pytest.param(ex.PowerExponential(1.0, 0.4), 1, True, id="powerexp1"),
+        pytest.param(ex.PowerExponential(1.5), 1, False, id="powerexp1.5"),
+        pytest.param(type("Subclass", (ex.Exponential,), {})(), 1, False, id="subclass"),
+        pytest.param(lambda a, b, out=None: ex.Exponential()(a, b, out=out), 1, False,
+                     id="user"),
+        pytest.param(ex.Exponential(), 2, False, id="2d")])
+    def test_route_is_set_by_the_model(self, kernel, d, markov):
+        model = _exponential_model(kernel, d)
+        assert field._is_markov(model) == markov
+        rng = np.random.default_rng(5)
+        points = rng.random((1, 300, d))
+        tau, value = np.full((1, d), 0.4), np.array([3.5])
+        block, chain, dense = (np.random.default_rng(8) for _ in range(3))
+        values, rank, errors = field._conditional_draw_single(model, tau, value, points, block)
+        assert errors == {}
+        if markov:
+            expected, expected_rank = field._markov_draw(model, tau[0], 3.5, points[0], chain)
+            replay = chain
+        else:
+            expected, expected_rank, _ = field._conditional_draw_block(model, tau, value,
+                                                                       points, dense)
+            replay = dense
+        assert np.array_equal(values.ravel(), np.ravel(expected))
+        assert rank.tolist() == np.ravel(expected_rank).tolist()
+        assert block.bit_generator.state == replay.bit_generator.state
+
+    @pytest.mark.parametrize("side", ["both", "right", "left", "duplicates"])
+    @pytest.mark.parametrize("ell, mean, std", [
+        pytest.param(1.0, 0.0, 1.0, id="unit"),
+        pytest.param(0.3, ex.LinearMean([0.7], 0.2), 1.0, id="ell0.3-trend"),
+        pytest.param(0.3, ex.LinearMean([0.7]), lambda p: 1.0 + 0.5 * p[:, 0], id="std"),
+        pytest.param(2.0, 0.0, 2.5, id="ell2-std2.5")])
+    def test_chain_reproduces_the_conditional_moments(self, side, ell, mean, std):
+        model = _exponential_model(ex.Exponential(ell), mean=mean, std=std)
+        tau, value = np.array([0.4]), 3.7
+        points = np.random.default_rng(11).random((203, 1))
+        if side == "right":
+            points = 0.4 + 0.6 * points
+        elif side == "left":
+            points = 0.4 * points
+        elif side == "duplicates":
+            points[[5, 60]] = points[[7, 61]]
+            points[9] = tau
+        c_mean, factor, rank = _markov_moments(model, tau, value, points)
+        d_mean, cov, _ = ex.conditional_moments(model, tau, value, points)
+        assert rank == (200 if side == "duplicates" else 203) == np.linalg.matrix_rank(cov)
+        assert np.max(np.abs(c_mean - d_mean)) <= 1e-12
+        assert np.max(np.abs(factor @ factor.T - cov)) <= 1e-12
+
+    def test_rank_normals_are_drawn_and_pinned_points_keep_the_value(self):
+        model = _exponential_model(ex.PowerExponential(1.0, 0.5), mean=ex.LinearMean([1.3]),
+                                   std=lambda p: 2.0 - p[:, 0])
+        points = np.random.default_rng(12).random((320, 1))
+        tau, value = points[17].copy(), 4.25
+        points[[40, 250]] = tau
+        points[100] = points[101]
+        rng = np.random.default_rng(13)
+        values, rank = field._markov_draw(model, tau, value, points, rng)
+        assert rank == 320 - 4  # tau three times, one duplicate
+        assert values[17] == values[40] == values[250] == value
+        assert values[100] == values[101]
+        replay = np.random.default_rng(13)
+        replay.standard_normal(rank)
+        assert rng.bit_generator.state == replay.bit_generator.state
+
+    def test_non_finite_point_drops_the_draw(self):
+        model = _exponential_model()
+        points = np.random.default_rng(14).random((1, 50, 1))
+        points[0, 5] = np.nan
+        rng = np.random.default_rng(3)
+        values, rank, errors = field._conditional_draw_single(
+            model, np.array([[0.5]]), np.array([3.0]), points, rng)
+        assert list(errors) == [0] and isinstance(errors[0], ModelEvaluationError)
+        assert str(errors[0]) == "correlation function returned a non-finite value"
+        assert np.isnan(values).all() and rank.tolist() == [0]
+        assert rng.bit_generator.state == np.random.default_rng(3).bit_generator.state
+
+
 # ---------------------------------------------------------------------------
 # Gaussian tails
 # ---------------------------------------------------------------------------

@@ -37,16 +37,15 @@ import numpy as np
 from .design import (
     DesignDensity,
     DesignDraw,
-    alpha_hat,
     alpha_hat_block,
     choose_m,
     cluster_scale,
-    mes_hat,
     mes_hat_block,
     sample_design_block,
-    sample_design_points,
     within_bounds,
 )
+# Not called here; perfbench/tracing.py patches these names on this module.
+from .design import alpha_hat, mes_hat, sample_design_points  # noqa: F401
 from .errors import (
     ConfigurationError,
     ExcursimError,
@@ -212,11 +211,6 @@ def _draw_block(model: FieldModel, ctx: MeasureContext, zeta: float,
     """Draw ``size`` replicates from one stream, in this order: the tau
     locations, the values f(tau), the design points, the field values.
 
-    A block of one calls the single-draw routines ``sample_design_points``,
-    ``mes_hat`` and ``alpha_hat``.  They consume the stream and round as the
-    block routines do, and per-call instrumentation of them, such as the
-    benchmark's tracer, sees one call per replicate.
-
     Where every block is one replicate (``block_size(m) == 1``), the field is
     drawn only at the design points inside T: the conditional law there is
     the marginal of the law at all m points, so the draw is exact and
@@ -225,38 +219,29 @@ def _draw_block(model: FieldModel, ctx: MeasureContext, zeta: float,
     replicate: a 1-d model with a built-in shape-2 kernel is factored from
     kernel columns (``_column_factor``), a 1-d exponential model is drawn as
     a Markov chain outward from tau (``_markov_draw``), and any other goes
-    through ``conditional_moments`` and ``factor_psd``.  The outside entries of
+    through ``_conditional_draw_block``.  The outside entries of
     ``field_values`` are NaN, which no estimator reads; a design with no
     inside point draws no field and misses (mes, z and y are 0).  A trailing
-    block of one at smaller m draws at all m points, as its full blocks do,
-    through ``_conditional_draw``.
+    block of one at smaller m draws at all m points, as its full blocks do.
     """
-    single = size == 1
     taus = sample_tau(model, ctx, rng, size=size)
     values_at_tau = sample_truncated_tail(model.mean_at(taus), model.std_at(taus),
                                           ctx.gamma, rng, size=size)
-    if single:
-        draw = sample_design_points(taus[0], zeta, m, density, model.domain, rng)
-        draws = draw[None]  # stacked as a block of one
-    else:
-        draws = sample_design_block(taus, zeta, m, density, model.domain, rng)
+    draws = sample_design_block(taus, zeta, m, density, model.domain, rng)
     if block_size(m) == 1:
         # the estimators read the field only inside T: draw it there alone
+        inside = draws.inside[0]
         field_values = np.full((1, m), np.nan)
         rank, errors = np.zeros(1, dtype=int), {}
-        if draw.inside.any():
+        if inside.any():
             values, rank, errors = _conditional_draw_single(
-                model, taus, values_at_tau, draw.points[draw.inside][None], rng)
-            field_values[0, draw.inside] = values[0]
+                model, taus, values_at_tau, draws.points[:, inside], rng)
+            field_values[0, inside] = values[0]
     else:
         field_values, rank, errors = _conditional_draw_block(model, taus, values_at_tau,
                                                              draws.points, rng)
     ratio = proposal_ratio(model, ctx, draws.points)
-    if single:
-        mes = np.array([mes_hat(field_values[0], ctx.gamma, draw,
-                                ratio[0] if np.ndim(ratio) else ratio)])
-    else:
-        mes = mes_hat_block(field_values, ctx.gamma, draws, ratio)
+    mes = mes_hat_block(field_values, ctx.gamma, draws, ratio)
     # a hit implies a design point above b > gamma inside T, hence mes > 0
     hits = np.any((field_values > ctx.b) & draws.inside, axis=1)
     log_z = np.full(size, -np.inf)
@@ -270,10 +255,7 @@ def _draw_block(model: FieldModel, ctx: MeasureContext, zeta: float,
             errors.setdefault(int(i), IntegrandBoundsError(
                 f"integrand value outside declared bounds "
                 f"[{integrand.lower}, {integrand.upper}]"))
-        if single:
-            a_hat = np.array([alpha_hat(xi[0], field_values[0], ctx.b, draw)])
-        else:
-            a_hat = alpha_hat_block(xi, field_values, ctx.b, draws)
+        a_hat = alpha_hat_block(xi, field_values, ctx.b, draws)
         # a_hat > 0 needs a design point above b inside T, so mes > 0 there too
         positive = a_hat > 0.0
         log_y[positive] = (ctx.log_norm_integral + np.log(a_hat[positive])

@@ -4,13 +4,13 @@ A :class:`FieldModel` bundles a box domain, mean and standard-deviation
 functions, a correlation kernel, and the local regularity parameters of the
 kernel.  All sampling is exact at finite point sets.  A covariance is
 factored once, by Cholesky when it is positive definite and otherwise by a
-pivoted Cholesky that returns its numerical rank.  A single conditional draw
-of a 1-d model forms no covariance when its kernel is built in: a shape-2
-kernel runs that pivoted Cholesky on kernel columns, and the exponential
-kernel, which is Markov on the line, is drawn as an AR(1) chain outward from
-the conditioning point in O(n).  The Gaussian tail
-arithmetic is done through the complementary error function so that
-levels around ``b = 8`` (tail mass ~1e-16) keep full relative accuracy.
+pivoted Cholesky that returns its numerical rank.  A conditional draw of one
+replicate of a 1-d model forms no covariance when its kernel is built in: a
+shape-2 kernel runs that pivoted Cholesky on kernel columns, and the
+exponential kernel, which is Markov on the line, is drawn as an AR(1) chain
+outward from the conditioning point in O(n); every other draw takes the block
+code.  Gaussian tails go through the complementary error function, so levels
+around ``b = 8`` (tail mass ~1e-16) keep full relative accuracy.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dlamch, dpotrf, dpstrf, dtbtrs
-from scipy.spatial.distance import cdist
 from scipy.special import log_ndtr, ndtr
 
 from .errors import ModelEvaluationError, SingularModelError
@@ -197,18 +196,16 @@ def _pairwise_diff(a: np.ndarray, b: np.ndarray, axis: int, out=None) -> np.ndar
 def _pairwise_dist(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
     """Euclidean distances between the rows of ``a`` and ``b``.
 
-    Stacked inputs (B, n, d) and (B, k, d) give (B, n, k), pairing the sets
-    along the leading axis; the squares are summed axis by axis in cdist's
-    order, so each matrix is bit-equal to cdist of its pair.  In one
-    dimension the distance is |s - t| (subtract, then abs), which in IEEE
+    (n, d) and (k, d) give (n, k), and stacked (B, n, d) and (B, k, d) give
+    (B, n, k), pairing the sets along the leading axis.  The squares are
+    summed axis by axis in cdist's order, so each matrix is bit-equal to cdist
+    of its pair.  In one dimension the distance is |s - t|, which in IEEE
     arithmetic equals cdist's sqrt((s - t)**2) bit for bit unless (s - t)**2
     underflows (|s - t| below about 1e-154) or overflows.
     """
     if a.shape[-1] == 1:
         h = _pairwise_diff(a, b, 0, out)
         return np.abs(h, out=h)
-    if a.ndim == 2:
-        return cdist(a, b, out=out)
     h = _pairwise_diff(a, b, 0, out)
     np.multiply(h, h, out=h)
     for axis in range(1, a.shape[-1]):
@@ -477,23 +474,19 @@ def _lapack_factor(matrix: np.ndarray, lower: np.ndarray):
     return factored, piv - 1, rank
 
 
-def factor_psd(matrix, work=None) -> tuple[np.ndarray, float]:
-    """Factor F of shape (n, r) with F @ F.T = matrix; returns (F, 0.0).
+def factor_psd(matrix) -> np.ndarray:
+    """Factor F of shape (n, r) with F @ F.T = matrix.
 
     A positive definite matrix gets its lower Cholesky factor (r = n).  When
     that fails, LAPACK's pivoted Cholesky stops at the numerical rank r (its
     default tolerance n * eps * max diagonal), and the rows of its factor are
     put back in the original order.  Rows whose covariance is exactly zero
-    are never pivoted, so their factor rows are exactly zero.  The second
-    return value, the ridge added to the diagonal, is always 0.0; it is kept
-    for callers that unpack (factor, ridge).
+    are never pivoted, so their factor rows are exactly zero.
 
-    ``matrix`` is never modified: :func:`_lapack_factor` factors it in
-    ``work``, an (n, n) Fortran-ordered float buffer (allocated when None);
-    for a C-ordered matrix the copy is a plain memcpy.  The covariances of the
-    built-in kernels are exactly symmetric, so either triangle gives the same
-    bits.  The Cholesky factor's strict upper triangle is set to +0.0 in one
-    masked pass.  The returned factor may alias ``work``.
+    ``matrix`` is never modified: :func:`_lapack_factor` factors a
+    Fortran-ordered copy.  The built-in kernels' covariances are exactly
+    symmetric, so either triangle gives the same bits.  The Cholesky factor's
+    strict upper triangle is set to +0.0 in one masked pass.
 
     :class:`SingularModelError` is raised when the matrix is indefinite
     beyond rounding: after the pivoted factorization, a residual diagonal
@@ -509,19 +502,17 @@ def factor_psd(matrix, work=None) -> tuple[np.ndarray, float]:
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix must have finite entries")
     n = a.shape[0]
-    if work is None:
-        work = np.empty((n, n), order="F")
-    factored, piv, rank = _lapack_factor(a, work)
+    factored, piv, rank = _lapack_factor(a, np.empty((n, n), order="F"))
     if piv is None:
         np.copyto(factored, 0.0, where=_strict_upper(n))
-        return factored, 0.0
+        return factored
     lower = np.tril(factored[:, :rank])
     errors = _residual_errors(a[None], lower.T[None], piv[None], [rank])
     if errors:
         raise SingularModelError(errors[0])
     factor = np.empty((n, rank))
     factor[piv] = lower
-    return factor, 0.0
+    return factor
 
 
 def _residual_errors(a: np.ndarray, lt: np.ndarray, piv: np.ndarray, ranks) -> dict:
@@ -572,7 +563,7 @@ def sample_joint(model: FieldModel, points, rng) -> np.ndarray:
     """One exact draw of (f(t_1), ..., f(t_n)) under the model law."""
     pts = as_points(points, model.dimension)
     mean = model.mean_at(pts)
-    factor, _ = factor_psd(cov_matrix(model, pts))
+    factor = factor_psd(cov_matrix(model, pts))
     return mean + factor @ rng.standard_normal(factor.shape[1])
 
 
@@ -580,9 +571,9 @@ def sample_joint(model: FieldModel, points, rng) -> np.ndarray:
 # Conditioning on a single observation
 # ---------------------------------------------------------------------------
 
-# Per-thread buffers of the conditional draws (a single draw is a block of
-# one): flat arrays behind the (B, n + 1, n) assembly and the (B, n, n)
-# factors, replaced only when a block needs more elements than they hold.
+# Per-thread buffers of the block conditional draws: flat arrays behind the
+# (B, n + 1, n) assembly and the (B, n, n) factors, replaced only when a block
+# needs more elements than they hold.
 _block_buffers = threading.local()
 _NO_BUFFERS = (np.empty(0), np.empty(0))
 
@@ -651,29 +642,24 @@ def _assemble(model: FieldModel, taus: np.ndarray, values_at_tau: np.ndarray,
     return mean, cov, pinned, errors
 
 
-def conditional_moments(model: FieldModel, tau, value_at_tau: float, points, out=None,
-                        scratch=None):
+def conditional_moments(model: FieldModel, tau, value_at_tau: float, points):
     """Mean and covariance of the field at ``points`` given f(tau) = value.
 
     mean_i = mu(t_i) + (sigma(t_i)/sigma(tau)) r(t_i, tau) (v - mu(tau))
     cov_ij = sigma(t_i) sigma(t_j) (r(t_i, t_j) - r(t_i, tau) r(t_j, tau))
 
     Rows for points exactly equal to tau are pinned: mean = value, cov = 0.
-    Returns (mean, cov, tau_mask), as :func:`_assemble` of a block of one: in
-    ``out``, an (n + 1, n) C-ordered float buffer, ``cov`` is the view
-    ``out[:n]``, and ``scratch`` (n, n) takes the products; either is
-    allocated when None.  Non-finite kernel values raise
-    :class:`ModelEvaluationError`.
+    Returns (mean, cov, tau_mask), as :func:`_assemble` of a block of one.
+    Non-finite kernel values raise :class:`ModelEvaluationError`.
     """
     tau = as_points(tau, model.dimension)[:1]
     pts = as_points(points, model.dimension)
     n = pts.shape[0]
     if n == 0:
         raise ValueError("need at least one point")
-    assembly = np.empty((1, n + 1, n)) if out is None else out[None]
-    scratch = np.empty((1, n, n)) if scratch is None else scratch[None]
     mean, cov, pinned, errors = _assemble(model, tau, np.array([value_at_tau], dtype=float),
-                                          pts[None], assembly, scratch)
+                                          pts[None], np.empty((1, n + 1, n)),
+                                          np.empty((1, n, n)))
     if errors:
         raise errors[0]
     return mean[0], cov[0], pinned[0]
@@ -682,14 +668,11 @@ def conditional_moments(model: FieldModel, tau, value_at_tau: float, points, out
 def _conditional_draw(model: FieldModel, tau, value_at_tau: float, points, rng):
     """Draw from the conditional law; returns (values, rank of the covariance).
 
-    The covariance is built and factored in the calling thread's buffer pair,
-    as a block of one, so steady-state draws allocate no (n, n) array.
+    The reference path, which the engine does not take: :func:`conditional_moments`,
+    then :func:`factor_psd`, then mean + F z.
     """
-    pts = as_points(points, model.dimension)
-    assembly, work = _block_buffer_pair(1, pts.shape[0])
-    mean, cov, _ = conditional_moments(model, tau, value_at_tau, pts, out=assembly[0],
-                                       scratch=work[0])
-    factor, _ = factor_psd(cov, work[0].T)
+    mean, cov, _ = conditional_moments(model, tau, value_at_tau, points)
+    factor = factor_psd(cov)
     return mean + factor @ rng.standard_normal(factor.shape[1]), factor.shape[1]
 
 
@@ -714,21 +697,13 @@ def _conditional_draw_block(model: FieldModel, taus: np.ndarray, values_at_tau: 
     consume no normals.  The other rows consume rank normals each, in row
     order, as one draw each would.
 
-    A block of one is :func:`_conditional_draw`.  Larger blocks assemble all
+    Every block size, one included, takes the same steps: assemble all
     covariances with :func:`_assemble` in the thread's buffer pair, factor
-    each with :func:`_lapack_factor` (as :func:`factor_psd` does), run the
-    indefiniteness test of every pivoted factor as one batched evaluation,
-    and draw with the factors zero-padded to (m, m).
+    each with :func:`_lapack_factor` (as :func:`factor_psd` does), test every
+    pivoted factor for indefiniteness in one batched evaluation, and draw
+    with the factors zero-padded to (m, m), allocating no (B, m, m) array.
     """
     size, m, d = points.shape
-    if size == 1:
-        try:
-            values, rank = _conditional_draw(model, taus[0], float(values_at_tau[0]),
-                                             points[0], rng)
-        except (ModelEvaluationError, SingularModelError) as exc:
-            return np.full((1, m), np.nan), np.zeros(1, dtype=int), {0: exc}
-        return values[None, :], np.array([rank]), {}
-
     assembly, work = _block_buffer_pair(size, m)
     mean, cov, _, errors = _assemble(model, taus, values_at_tau, points, assembly, work)
 
@@ -747,7 +722,8 @@ def _conditional_draw_block(model: FieldModel, taus: np.ndarray, values_at_tau: 
             order[i] = piv
             pivoted.append(i)
     # keep L_i's lower triangle and its first rank_i columns
-    work *= np.triu(np.ones((m, m), dtype=bool)) & (np.arange(m)[:, None] < rank[:, None, None])
+    np.copyto(work.transpose(0, 2, 1), 0.0, where=_strict_upper(m))
+    work[np.arange(m) >= rank[:, None]] = 0.0
     if pivoted:
         rows = pivoted if len(pivoted) < size else slice(None)  # a slice takes views
         failed = _residual_errors(cov[rows], work[rows], order[rows], rank[rows])
@@ -946,22 +922,21 @@ def _conditional_draw_single(model: FieldModel, taus: np.ndarray, values_at_tau:
     every other model, and a covariance that reaches the column cap (before
     any normal is drawn), takes :func:`_conditional_draw_block`.
     """
-    if _has_low_rank_columns(model):
-        try:
-            moments = _column_factor(model, taus[0], float(values_at_tau[0]), points[0])
-        except (ModelEvaluationError, SingularModelError) as exc:
-            return np.full((1, points.shape[1]), np.nan), np.zeros(1, dtype=int), {0: exc}
-        if moments is not None:
-            mean, factor = moments
-            values = mean + factor @ rng.standard_normal(factor.shape[1])
-            return values[None], np.array([factor.shape[1]]), {}
-    elif _is_markov(model):
-        try:
-            values, rank = _markov_draw(model, taus[0], float(values_at_tau[0]), points[0], rng)
-        except ModelEvaluationError as exc:
-            return np.full((1, points.shape[1]), np.nan), np.zeros(1, dtype=int), {0: exc}
-        return values[None], np.array([rank]), {}
-    return _conditional_draw_block(model, taus, values_at_tau, points, rng)
+    tau, value = taus[0], float(values_at_tau[0])
+    moments = None
+    try:
+        if _is_markov(model):
+            values, rank = _markov_draw(model, tau, value, points[0], rng)
+            return values[None], np.array([rank]), {}
+        if _has_low_rank_columns(model):
+            moments = _column_factor(model, tau, value, points[0])
+    except (ModelEvaluationError, SingularModelError) as exc:
+        return np.full((1, points.shape[1]), np.nan), np.zeros(1, dtype=int), {0: exc}
+    if moments is None:
+        return _conditional_draw_block(model, taus, values_at_tau, points, rng)
+    mean, factor = moments
+    values = mean + factor @ rng.standard_normal(factor.shape[1])
+    return values[None], np.array([factor.shape[1]]), {}
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import InvalidLevelError, QuadratureError
 from .field import FieldModel, log_gaussian_tail, log_marginal_tail
@@ -48,6 +47,19 @@ def gamma_level(b: float) -> float:
             f"level b={b} is outside the rare-event regime (need b > 1); "
             "use a crude Monte Carlo baseline at such levels")
     return b - 1.0 / b
+
+
+def _logsumexp(values: np.ndarray) -> float:
+    """log sum exp(values) of a 1-d array, bit-equal to scipy 1.17's
+    ``logsumexp``: the count of terms equal to the largest, top, is kept apart
+    and the others are shifted by top; a non-finite top is the result."""
+    top = values.max()
+    if not np.isfinite(top):
+        return float(top)
+    ties = values == top
+    count = np.count_nonzero(ties)
+    rest = np.exp(np.where(ties, -np.inf, values) - top).sum()
+    return float(np.log1p(rest / count) + np.log(count) + top)
 
 
 def _constant_marginals(model: FieldModel) -> bool:
@@ -85,7 +97,7 @@ def _tensor_log_integral(model: FieldModel, gamma: float, panels: int) -> float:
     pts = np.stack([g.ravel() for g in grids], axis=1)
     logw_grids = np.meshgrid(*[a[1] for a in axes], indexing="ij")
     logw = sum(g.ravel() for g in logw_grids)
-    return float(logsumexp(logw + log_marginal_tail(model, pts, gamma)))
+    return _logsumexp(logw + log_marginal_tail(model, pts, gamma))
 
 
 def log_normalizing_integral(model: FieldModel, gamma: float) -> tuple[float, QuadratureInfo]:
@@ -160,7 +172,7 @@ def _grid_sampler_tables(model: FieldModel, gamma: float, budget: int) -> dict:
     grids = np.meshgrid(*axes, indexing="ij")
     centers = np.stack([g.ravel() for g in grids], axis=1)
     log_mass = log_marginal_tail(model, centers, gamma)
-    log_mass -= logsumexp(log_mass)
+    log_mass -= _logsumexp(log_mass)
     cum = np.cumsum(np.exp(log_mass))
     cum[-1] = 1.0
     return dict(grid_shape=(res,) * d, cell_log_mass=log_mass, cell_cum=cum,

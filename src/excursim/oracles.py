@@ -14,7 +14,6 @@ import math
 import time
 
 import numpy as np
-from scipy.integrate import quad
 
 from .engine import EstimateReport
 from .errors import ConfigurationError, InsufficientReplicatesError
@@ -89,7 +88,7 @@ def crude_grid_mc(model: FieldModel, b: float, grid_per_axis: int, n: int,
     grids = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=1)
     mean = model.mean_at(pts)
-    factor, _ = factor_psd(cov_matrix(model, pts))
+    factor = factor_psd(cov_matrix(model, pts))
 
     start = time.perf_counter()
     hits = 0
@@ -147,6 +146,8 @@ def cosine_grid_tail(b: float, grid_points) -> float:
     and the points where c crosses zero, so each piece is integrated
     separately.
     """
+    from scipy.integrate import quad  # loaded only here, not by ``import excursim``
+
     pts = np.sort(np.atleast_1d(np.asarray(grid_points, dtype=float)))
     if pts.size < 1:
         raise ValueError("need at least one grid point")

@@ -1,7 +1,10 @@
 """Every name the package declares public resolves to an object."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -30,3 +33,17 @@ def test_package_reexports_resolve():
         homes = [home] if home else [f"excursim.{m}" for m in MODULES]
         assert any(getattr(importlib.import_module(h), name, None) is obj
                    for h in homes if h.startswith("excursim.")), name
+
+
+def test_import_loads_no_unused_scipy_subpackages():
+    # scipy.integrate (with scipy.optimize) and scipy.spatial cost about 20 MB
+    # of peak RSS; the package loads scipy.integrate only inside the oracle
+    # that calls it
+    src = os.path.dirname(os.path.dirname(ex.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = ("import sys, excursim, excursim.cli; print(sorted(m for m in "
+            "('scipy.integrate', 'scipy.optimize', 'scipy.spatial') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

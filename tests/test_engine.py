@@ -421,17 +421,17 @@ class TestBlocks:
         pytest.param(ex.SquaredExponential(), 40, 0, "columns", id="40-0")])
     def test_only_blocks_of_one_call_the_single_draw_routines(self, monkeypatch, kernel, m,
                                                               expected, route):
-        # per-call instrumentation of these names sees one call per replicate
-        # where a block is one replicate, and blocks pass no arrays through them
-        # the names the benchmark's tracer patches, the kernel-column factor
-        # that draws the field of 1-d shape-2 kernels there instead, and the
-        # chain that draws the 1-d exponential kernel
-        patched = [(engine, name) for name in ("sample_design_points", "mes_hat", "alpha_hat")]
-        routes = {"dense": [(field, name) for name in ("conditional_moments", "factor_psd")],
-                  "columns": [(field, "_column_factor")],
-                  "chain": [(field, "_markov_draw")]}
+        # every block, one included, takes the block routines: the five
+        # single-draw names see no call.  Where a block is one replicate,
+        # each replicate enters its field route once: the kernel-column
+        # factor (1-d shape-2 kernels), the chain (1-d exponential) or one
+        # LAPACK factorization of its assembled covariance (any other model)
+        single = [(engine, name) for name in ("sample_design_points", "mes_hat", "alpha_hat")]
+        single += [(field, name) for name in ("conditional_moments", "factor_psd")]
+        routes = {"dense": (field, "_lapack_factor"), "columns": (field, "_column_factor"),
+                  "chain": (field, "_markov_draw")}
         calls = collections.Counter()
-        for module, name in patched + sum(routes.values(), []):
+        for module, name in single + list(routes.values()):
             def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
                 calls[_name] += 1
                 return _original(*args, **kwargs)
@@ -440,8 +440,10 @@ class TestBlocks:
         ex.estimate_tail_and_excursion(model, 4.0, 5, m, density=ex.DesignDensity(1, 3, 1.0),
                                        seed=1, workers=1)
         assert block_size(m) == (1 if expected else 79)
-        assert calls == collections.Counter({name: expected
-                                             for _, name in patched + routes[route]})
+        if expected:
+            assert calls == collections.Counter({routes[route][1]: expected})
+        else:  # one block of five, factored from its assembled covariances
+            assert calls == collections.Counter({"_lapack_factor": 5})
 
     def test_threads_keep_their_own_block_buffers(self, smooth_model):
         # six blocks of 79 on four threads, switching as often as possible
@@ -579,15 +581,15 @@ class TestInsideOnlyDraws:
 
     def test_design_outside_t_draws_no_field(self, large_m, monkeypatch):
         s = large_m
-        original = engine.sample_design_points
+        original = engine.sample_design_block
 
         def outside(*args, **kwargs):
-            draw = original(*args, **kwargs)
-            points = draw.points + 10.0
-            return dataclasses.replace(draw, points=points,
-                                       inside=s["model"].domain.contains(points))
+            draws = original(*args, **kwargs)
+            points = draws.points + 10.0
+            inside = s["model"].domain.contains(points.reshape(-1, 1)).reshape(points.shape[:2])
+            return dataclasses.replace(draws, points=points, inside=inside)
 
-        monkeypatch.setattr(engine, "sample_design_points", outside)
+        monkeypatch.setattr(engine, "sample_design_block", outside)
         seed = (62, 0)
         rng = np.random.default_rng(seed)
         integrand = ex.IntegrandSpec.constant(1.0, s["model"])

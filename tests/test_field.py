@@ -93,13 +93,14 @@ class TestCovMatrix:
             assert np.array_equal(cov, cov.T)
 
     def test_pairwise_dist_matches_difference_tensor(self, rng):
-        # reference: the explicit (n, m, d) difference tensor
+        # reference: the explicit (n, m, d) difference tensor, and cdist
         from excursim.field import _pairwise_dist
 
         for d in (1, 2, 3):
             a, b = rng.random((33, d)), rng.random((17, d))
             diff = a[:, None, :] - b[None, :, :]
             assert np.array_equal(_pairwise_dist(a, b), np.sqrt(np.sum(diff * diff, axis=-1)))
+            assert np.array_equal(_pairwise_dist(a, b), cdist(a, b))
 
     @pytest.mark.parametrize("kernel, d", [(ex.SquaredExponential(0.7), 2),
                                            (ex.Exponential(4.0), 2),
@@ -166,14 +167,12 @@ class TestCovMatrix:
 
 class TestFactorPsd:
     def test_identity_needs_no_ridge(self):
-        lower, ridge = ex.factor_psd(np.eye(4))
-        assert ridge == 0.0
+        lower = ex.factor_psd(np.eye(4))
         assert np.array_equal(lower, np.eye(4))
 
     def test_rank_one_matrix_factors_at_rank_one(self):
         a = np.ones((2, 2))
-        factor, ridge = ex.factor_psd(a)
-        assert ridge == 0.0
+        factor = ex.factor_psd(a)
         assert factor.shape == (2, 1)
         assert np.max(np.abs(factor @ factor.T - a)) <= 1e-12
 
@@ -183,8 +182,7 @@ class TestFactorPsd:
         rng = np.random.default_rng(5)
         pts = 0.4 + rng.standard_t(3, (320, 1)) / 20.0
         _, cov, _ = ex.conditional_moments(model, [0.4], 6.0, pts)
-        factor, ridge = ex.factor_psd(cov)
-        assert ridge == 0.0
+        factor = ex.factor_psd(cov)
         assert factor.shape[0] == 320 and factor.shape[1] < 40
         err = np.max(np.abs(factor @ factor.T - cov))
         assert err <= 1e-12 * np.max(np.diag(cov))
@@ -192,7 +190,7 @@ class TestFactorPsd:
     def test_zero_rows_get_zero_factor_rows(self):
         a = np.zeros((4, 4))
         a[np.ix_([0, 2, 3], [0, 2, 3])] = [[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]]
-        factor, _ = ex.factor_psd(a)
+        factor = ex.factor_psd(a)
         assert factor.shape == (4, 3)
         assert np.all(factor[1] == 0.0)
         assert np.max(np.abs(factor @ factor.T - a)) <= 1e-12
@@ -221,8 +219,8 @@ class TestFactorPsd:
             ex.factor_psd(a)
 
     def test_zero_matrix_factors_exactly(self):
-        lower, ridge = ex.factor_psd(np.zeros((3, 3)))
-        assert ridge == 0.0 and not lower.any()
+        lower = ex.factor_psd(np.zeros((3, 3)))
+        assert not lower.any()
 
     @pytest.mark.parametrize("full_rank", [True, False], ids=["dpotrf", "dpstrf"])
     def test_factor_is_bit_equal_for_any_memory_layout(self, full_rank, rng):
@@ -241,8 +239,7 @@ class TestFactorPsd:
         padded = np.zeros((2 * n, 3 * n))
         padded[::2, ::3] = a
         views = [a, np.asfortranarray(a), padded[::2, ::3], padded[::2, ::3].T]
-        factors = [ex.factor_psd(view)[0].copy() for view in views]
-        factors.append(ex.factor_psd(a, np.full((n, n), np.nan, order="F"))[0])
+        factors = [ex.factor_psd(view) for view in views]
         assert (factors[0].shape[1] == n) == full_rank
         for factor in factors[1:]:
             assert np.array_equal(factor, factors[0])
@@ -254,8 +251,8 @@ class TestFactorPsd:
         for n in (5, 40, 200):
             b = rng.standard_normal((n, n))
             a = b @ b.T / n
-            lower, ridge = ex.factor_psd(a)
-            err = np.max(np.abs(lower @ lower.T - (a + ridge * np.eye(n))))
+            lower = ex.factor_psd(a)
+            err = np.max(np.abs(lower @ lower.T - a))
             assert err <= 1e-8 * np.max(np.abs(a))
 
 
@@ -338,7 +335,7 @@ class TestConditional:
         tau, value = [0.5], 4.0
         pts = np.linspace(0.2, 0.8, 8)[:, None]
         mean, cov, _ = ex.conditional_moments(model, tau, value, pts)
-        factor, _ = ex.factor_psd(cov)
+        factor = ex.factor_psd(cov)
         assert factor.shape[1] < 8
         rng = np.random.default_rng(23)
         n = 20000
@@ -372,41 +369,43 @@ class TestConditional:
                                                    (ex.SquaredExponential(), False),
                                                    (ex.CosineProcess(), False)])
     def test_buffers_give_bit_equal_results(self, kernel, full_rank, rng):
+        # repeated calls give the same bits and leave the covariance as it was
         model = ex.FieldModel(ex.BoxDomain([0.0], [1.0]), kernel)
         n = 60
         pts = 0.4 + rng.standard_t(3, (n, 1)) / 20.0
         mean, cov, mask = ex.conditional_moments(model, [0.4], 5.0, pts)
-        out = np.full((n + 1, n), np.nan)
-        b_mean, b_cov, b_mask = ex.conditional_moments(model, [0.4], 5.0, pts, out=out)
-        assert np.shares_memory(b_cov, out)
-        assert np.array_equal(b_mean, mean) and np.array_equal(b_mask, mask)
-        assert np.array_equal(b_cov, cov)
+        again, cov_again, mask_again = ex.conditional_moments(model, [0.4], 5.0, pts)
+        assert np.array_equal(again, mean) and np.array_equal(mask_again, mask)
+        assert np.array_equal(cov_again, cov)
 
-        before = b_cov.copy()
-        factor, _ = ex.factor_psd(cov)
-        work = np.full((n, n), np.nan, order="F")
-        b_factor, _ = ex.factor_psd(b_cov, work)
-        assert np.array_equal(b_factor, factor)
-        assert np.array_equal(b_cov, before)
+        before = cov.copy()
+        factor = ex.factor_psd(cov)
+        assert np.array_equal(ex.factor_psd(cov), factor)
+        assert np.array_equal(cov, before)
         assert (factor.shape[1] == n) == full_rank
 
-    @pytest.mark.parametrize("kernel, d, std", [(ex.SquaredExponential(), 1, 1.0),
-                                                (ex.SquaredExponential(), 2, 2.5),
-                                                (ex.Exponential(4.0), 2, 1.0),
-                                                (ex.PowerExponential(1.5), 2,
-                                                 lambda p: 1.0 + 0.5 * p[:, 0]),
-                                                (ex.CosineProcess(), 1, 1.0)])
-    def test_block_matches_single_draws(self, kernel, d, std):
+    @pytest.mark.parametrize("kernel, d, std, size, m", [
+        (ex.SquaredExponential(), 1, 1.0, 12, 30),
+        (ex.SquaredExponential(), 2, 2.5, 12, 30),
+        (ex.Exponential(4.0), 2, 1.0, 12, 30),
+        (ex.PowerExponential(1.5), 2, lambda p: 1.0 + 0.5 * p[:, 0], 12, 30),
+        (ex.CosineProcess(), 1, 1.0, 12, 30),
+        # blocks of one at m >= 256, as the engine draws the dense models there
+        (ex.PowerExponential(1.5), 1, 1.0, 1, 320),
+        (ex.SquaredExponential(), 2, 1.0, 1, 256)],
+        ids=["kernel0-1-1.0", "kernel1-2-2.5", "kernel2-2-1.0", "kernel3-2-<lambda>",
+             "kernel4-1-1.0", "powerexp1.5-block-of-one-320", "sqexp-2d-block-of-one-256"])
+    def test_block_matches_single_draws(self, kernel, d, std, size, m):
         # reference: one _conditional_draw per replicate, on the same stream
         from excursim.field import _conditional_draw, _conditional_draw_block
 
         model = ex.FieldModel(ex.BoxDomain(np.zeros(d), np.ones(d)), kernel, std=std,
                               mean=ex.LinearMean(np.full(d, 0.1)))
-        size, m = 12, 30
         setup = np.random.default_rng(3)
         taus = setup.random((size, d))
         points = taus[:, None, :] + setup.standard_t(3, (size, m, d)) / 20.0
-        points[4, 7] = taus[4]  # a design point at tau is pinned to f(tau)
+        pin = min(4, size - 1)
+        points[pin, 7] = taus[pin]  # a design point at tau is pinned to f(tau)
         values_at_tau = 4.0 + setup.random(size)
 
         values, rank, errors = _conditional_draw_block(model, taus, values_at_tau, points,
@@ -417,30 +416,32 @@ class TestConditional:
         assert errors == {}
         assert rank.tolist() == [r for _, r in single]
         assert np.allclose(values, [v for v, _ in single], rtol=1e-12, atol=1e-12)
-        assert values[4, 7] == values_at_tau[4]
+        assert values[pin, 7] == values_at_tau[pin]
 
     @pytest.mark.parametrize("kernel, full_rank", [
         pytest.param(ex.SquaredExponential(), False, id="sqexp"),
         pytest.param(ex.Exponential(), True, id="exponential")])
     def test_steady_state_draw_allocates_no_square_matrix(self, kernel, full_rank):
-        # sqexp takes the dpstrf route, exponential the dpotrf one
-        from excursim.field import _conditional_draw
+        # sqexp takes the dpstrf route, exponential the dpotrf one, each drawn
+        # as the engine draws a dense replicate at m >= 256: a block of one
+        from excursim.field import _conditional_draw_block
 
         model = ex.FieldModel(ex.BoxDomain([0.0], [1.0]), kernel)
         m = 320
         rng = np.random.default_rng(5)
-        pts = 0.4 + rng.standard_t(3, (m, 1)) / 20.0
-        _conditional_draw(model, [0.4], 6.0, pts, rng)  # allocates the buffers
+        pts = 0.4 + rng.standard_t(3, (1, m, 1)) / 20.0
+        taus, values_at_tau = np.array([[0.4]]), np.array([6.0])
+        _conditional_draw_block(model, taus, values_at_tau, pts, rng)  # allocates the buffers
         # the same n again, then a smaller one, as inside-only draws ask for
         for n in (m, m - 20):
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
-                _, rank = _conditional_draw(model, [0.4], 6.0, pts[:n], rng)
+                _, rank, _ = _conditional_draw_block(model, taus, values_at_tau, pts[:, :n], rng)
                 peak = tracemalloc.get_traced_memory()[1] - base
             finally:
                 tracemalloc.stop()
-            assert (rank == n) == full_rank
+            assert (rank[0] == n) == full_rank
             assert peak < 0.5 * 8 * m * m
 
     def test_buffer_pair_serves_a_smaller_n_from_the_same_memory(self):
@@ -541,7 +542,7 @@ class TestColumnFactor:
         for tau, value, points in _inside_draws(4):
             mean, cov, _ = ex.conditional_moments(model, tau, value, points)
             c_mean, factor = field._column_factor(model, tau, value, points)
-            dense, _ = ex.factor_psd(cov)
+            dense = ex.factor_psd(cov)
             assert factor.shape == (points.shape[0], factor.shape[1])
             assert abs(factor.shape[1] - dense.shape[1]) <= 1
             assert np.allclose(c_mean, mean, rtol=0.0, atol=1e-12)

@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 import excursim as ex
 from excursim.errors import InvalidLevelError, QuadratureError
-from excursim.measure import location_log_density, log_normalizing_integral
+from excursim.measure import _logsumexp, location_log_density, log_normalizing_integral
 
 
 def _integral(model, gamma):
@@ -63,6 +63,27 @@ class TestNormalizingIntegral:
         tails = ex.marginal_tail(trend_model, grid, gamma)
         assert value <= 1.0 * float(ex.gaussian_tail(gamma - 0.2))
         assert tails.min() <= value <= tails.max() + 1e-12
+
+
+class TestLogSumExp:
+    def test_bit_equal_to_scipy(self):
+        # 300 arrays: single elements, short and 4096-long ones, tied maxima,
+        # rounded values with many ties, and the spreads the tail logs take
+        rng = np.random.default_rng(41)
+        for i in range(300):
+            n = (1, 2, 5, 64, 700, 4096)[i % 6]
+            values = rng.normal(-rng.uniform(0.0, 900.0), (1e-3, 1.0, 40.0, 300.0)[i % 4], n)
+            if i % 3 == 0:
+                values[rng.integers(0, n, max(1, n // 4))] = values.max()
+            if i % 5 == 0:
+                values = np.round(values)
+            assert _logsumexp(values) == float(special.logsumexp(values)), i
+
+    def test_non_finite_largest_term_is_the_result(self):
+        assert _logsumexp(np.full(3, -np.inf)) == -np.inf
+        assert _logsumexp(np.array([-np.inf, 2.0])) == 2.0
+        assert _logsumexp(np.array([1.0, np.inf])) == np.inf
+        assert math.isnan(_logsumexp(np.array([1.0, np.nan])))
 
 
 class TestMeasureContext:

@@ -320,19 +320,21 @@ def _fmt(value) -> str:
 
 def _row(config: ExperimentConfig, report: EstimateReport, true_value: float | None,
          extra: dict | None = None) -> dict:
+    # values that repeat across rows and runs share one string, so a caller
+    # that keeps the rows of many runs holds one copy of each
     row = {
-        "b": f"{report.b:g}",
+        "b": sys.intern(f"{report.b:g}"),
         "target": report.target,
-        "true_value": _fmt(true_value),
+        "true_value": sys.intern(_fmt(true_value)),
         "est": _fmt(report.estimate),
         "std_err": _fmt(report.std_err),
-        "n": str(report.n + report.errored),
-        "m": str(report.m),
-        "seed": str(config.seed),
-        "wall_time_ms": f"{report.wall_time_s * 1e3:.3f}" if config.timing else "",
-        "errored_replicates": str(report.errored),
-        "config_digest": config.digest,
-        "schema_version": str(SCHEMA_VERSION),
+        "n": sys.intern(str(report.n + report.errored)),
+        "m": sys.intern(str(report.m)),
+        "seed": sys.intern(str(config.seed)),
+        "wall_time_ms": sys.intern(f"{report.wall_time_s * 1e3:.3f}") if config.timing else "",
+        "errored_replicates": sys.intern(str(report.errored)),
+        "config_digest": sys.intern(config.digest),
+        "schema_version": sys.intern(str(SCHEMA_VERSION)),
     }
     if extra:
         row.update(extra)

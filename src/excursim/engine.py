@@ -5,24 +5,24 @@ stream keyed (seed, block index), all its locations tau, all its exceeding
 values f(tau), one (B, m, d) design draw, and the conditional field values of
 each replicate, then forms the importance-weighted estimates of the tail
 probability and (optionally) of an integral over the excursion set.  B is
-fixed by m alone, through a byte budget for the block's covariance buffer, so
-results are independent of worker count; worker threads take whole blocks.
-Where B is 1 (m >= 256), the field is drawn only at the design points inside
-T, the only ones the estimators read; larger blocks draw it at all m points.
-At B = 1 a 1-d model with a built-in shape-2 kernel is drawn from kernel
-columns and a 1-d exponential model as a Markov chain outward from tau, both
-without forming a covariance; every other model, and every larger block, is
-drawn from its assembled covariance.
+fixed by m alone, so results are independent of worker count; worker threads
+take whole blocks.  Below m = 256 a byte budget for the block's covariance
+buffer sets B, and the field is drawn at all m points from the assembled
+covariances.  From m = 256 on, blocks are 16 replicates and the field is
+drawn only at the design points inside T, the only ones the estimators read:
+a 1-d exponential block as one Markov chain outward from each tau, any other
+model row by row (a 1-d built-in shape-2 kernel from kernel columns, the rest
+from the row's assembled covariance).
 A run keeps per-replicate scalars only, as parallel arrays (log z, log y,
 mes, rank, ok).  Every estimator aggregates from the log weights, scaled by
 their largest value so that they stay finite where the weights underflow,
 with exact compensated summation to stay order-insensitive.
 
-A replicate whose kernel values are not finite, whose covariance is
-indefinite beyond rounding, or whose integrand leaves its declared bounds at
-a design point inside T is dropped and counted as errored; the rest of its
-block is kept.  Any other failure, such as a non-finite model value at tau,
-drops its whole block.
+A replicate whose kernel values (from m = 256 on, also its mean or std) are
+not finite, whose covariance is indefinite beyond rounding, or whose
+integrand leaves its declared bounds at a design point inside T is dropped
+and counted as errored; the rest of its block is kept.  Any other failure,
+such as a non-finite model value at tau, drops its whole block.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from .field import (
     FieldModel,
     PowerExponential,
     _conditional_draw_block,
-    _conditional_draw_single,
+    _conditional_draw_inside,
     log_gaussian_tail,
 )
 from .measure import (
@@ -135,13 +135,15 @@ class IntegrandSpec:
         return (self.lower, self.upper)
 
 
-# Byte budget of one block's (B, m + 1, m) covariance buffer; it sets B.
+# Byte budget of one block's (B, m + 1, m) covariance buffer; it sets B below
+# _INSIDE_ONLY_M, from which on blocks draw the field inside T only.
 _BLOCK_BYTES = 1 << 20
+_INSIDE_ONLY_M = 256
 
 
 def block_size(m: int) -> int:
-    """Replicates per block: about 300 at m = 20, 80 at m = 40, 1 at m = 320."""
-    return max(1, _BLOCK_BYTES // (8 * m * (m + 1)))
+    """Replicates per block: about 300 at m = 20, 80 at m = 40, 16 from m = 256 on."""
+    return 16 if m >= _INSIDE_ONLY_M else max(1, _BLOCK_BYTES // (8 * m * (m + 1)))
 
 
 @dataclass
@@ -164,8 +166,8 @@ class ReplicateArrays:
     ``log_y`` stays -inf when no integral is estimated); ``mes`` is the volume
     estimate and ``rank`` the rank of the conditional covariance the field
     was drawn from, the number of normals its draw took: of all m design
-    points in a block of B > 1, of the points inside T alone where B is 1
-    (0 when none is inside).  It is the numerical rank of a factored
+    points below m = 256, of the points inside T alone from m = 256 on (0
+    when none is inside).  It is the numerical rank of a factored
     covariance, at most 64 on the kernel-column route, and exact on the
     Markov-chain route (the distinct inside points other than tau).
     ``ok`` is False for a dropped replicate, whose other entries mean nothing.
@@ -211,32 +213,20 @@ def _draw_block(model: FieldModel, ctx: MeasureContext, zeta: float,
     """Draw ``size`` replicates from one stream, in this order: the tau
     locations, the values f(tau), the design points, the field values.
 
-    Where every block is one replicate (``block_size(m) == 1``), the field is
-    drawn only at the design points inside T: the conditional law there is
-    the marginal of the law at all m points, so the draw is exact and
-    consumes the rank normals of the inside covariance alone.  The route
-    follows the model (``field._conditional_draw_single``), once per
-    replicate: a 1-d model with a built-in shape-2 kernel is factored from
-    kernel columns (``_column_factor``), a 1-d exponential model is drawn as
-    a Markov chain outward from tau (``_markov_draw``), and any other goes
-    through ``_conditional_draw_block``.  The outside entries of
-    ``field_values`` are NaN, which no estimator reads; a design with no
-    inside point draws no field and misses (mes, z and y are 0).  A trailing
-    block of one at smaller m draws at all m points, as its full blocks do.
+    From m = 256 on, the field is drawn only at the design points inside T
+    (``field._conditional_draw_inside``); the outside entries of
+    ``field_values`` are NaN, which no estimator reads, and a replicate with
+    no inside point draws no field and misses (mes, z and y are 0).  Below
+    m = 256 every block, a trailing block of one included, draws at all m points.
     """
     taus = sample_tau(model, ctx, rng, size=size)
     values_at_tau = sample_truncated_tail(model.mean_at(taus), model.std_at(taus),
                                           ctx.gamma, rng, size=size)
     draws = sample_design_block(taus, zeta, m, density, model.domain, rng)
-    if block_size(m) == 1:
+    if m >= _INSIDE_ONLY_M:
         # the estimators read the field only inside T: draw it there alone
-        inside = draws.inside[0]
-        field_values = np.full((1, m), np.nan)
-        rank, errors = np.zeros(1, dtype=int), {}
-        if inside.any():
-            values, rank, errors = _conditional_draw_single(
-                model, taus, values_at_tau, draws.points[:, inside], rng)
-            field_values[0, inside] = values[0]
+        field_values, rank, errors = _conditional_draw_inside(
+            model, taus, values_at_tau, draws.points, draws.inside, rng)
     else:
         field_values, rank, errors = _conditional_draw_block(model, taus, values_at_tau,
                                                              draws.points, rng)

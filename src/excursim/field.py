@@ -4,13 +4,14 @@ A :class:`FieldModel` bundles a box domain, mean and standard-deviation
 functions, a correlation kernel, and the local regularity parameters of the
 kernel.  All sampling is exact at finite point sets.  A covariance is
 factored once, by Cholesky when it is positive definite and otherwise by a
-pivoted Cholesky that returns its numerical rank.  A conditional draw of one
-replicate of a 1-d model forms no covariance when its kernel is built in: a
-shape-2 kernel runs that pivoted Cholesky on kernel columns, and the
-exponential kernel, which is Markov on the line, is drawn as an AR(1) chain
-outward from the conditioning point in O(n); every other draw takes the block
-code.  Gaussian tails go through the complementary error function, so levels
-around ``b = 8`` (tail mass ~1e-16) keep full relative accuracy.
+pivoted Cholesky that returns its numerical rank.  A conditional draw of a
+1-d model at the inside points forms no covariance when its kernel is built
+in: a shape-2 kernel runs that pivoted Cholesky on kernel columns, one
+replicate at a time, and the exponential kernel, which is Markov on the line,
+draws a whole block as AR(1) chains outward from the conditioning points in
+one O(n) banded solve; every other draw takes the block code.  Gaussian
+tails go through the complementary error function, so levels around
+``b = 8`` (tail mass ~1e-16) keep full relative accuracy.
 """
 
 from __future__ import annotations
@@ -726,7 +727,9 @@ def _conditional_draw_block(model: FieldModel, taus: np.ndarray, values_at_tau: 
     work[np.arange(m) >= rank[:, None]] = 0.0
     if pivoted:
         rows = pivoted if len(pivoted) < size else slice(None)  # a slice takes views
-        failed = _residual_errors(cov[rows], work[rows], order[rows], rank[rows])
+        # the factors' rows past the largest rank are zero: the probe skips them
+        failed = _residual_errors(cov[rows], work[rows, :rank[pivoted].max()], order[rows],
+                                  rank[rows])
         for k, message in failed.items():
             errors[pivoted[k]] = SingularModelError(message)
             rank[pivoted[k]] = 0
@@ -863,51 +866,79 @@ def _is_markov(model: FieldModel) -> bool:
             and kernel.shape == 1.0)
 
 
-def _markov_draw(model: FieldModel, tau: np.ndarray, value_at_tau: float,
-                 points: np.ndarray, rng):
-    """Exact draw at ``points`` (n, 1) given f(tau) = value_at_tau for a model
-    where :func:`_is_markov` holds; returns (values, rank).
+def _moments_by_row(model: FieldModel, points: np.ndarray, live: np.ndarray, errors: dict):
+    """mu and sigma at the points ``live`` (B, m) of ``points``, row-major; a
+    row where either fails goes into ``errors`` and leaves ``live``."""
+    try:
+        return model.mean_at(points[live]), model.std_at(points[live])
+    except ModelEvaluationError:
+        for i in np.flatnonzero(live.any(axis=1)):
+            try:
+                model.mean_at(points[i, live[i]]), model.std_at(points[i, live[i]])
+            except ModelEvaluationError as exc:
+                errors[int(i)], live[i] = exc, False
+    return model.mean_at(points[live]), model.std_at(points[live])
+
+
+def _markov_draw(model: FieldModel, taus: np.ndarray, values_at_tau: np.ndarray,
+                 points: np.ndarray, inside: np.ndarray, rng):
+    """Exact draws of a block for a model where :func:`_is_markov` holds: row
+    i at the points ``inside[i]`` of ``points[i]`` (m, 1) given f(taus[i]) =
+    values_at_tau[i].  Returns (values (B, m), rank (B,), errors) as
+    :func:`_conditional_draw_block` does, NaN outside ``inside``.
 
     The standardized field x = (f - mu) / sigma is then an AR(1) chain that
     walks outward from x_tau = (v - mu(tau)) / sigma(tau): right of tau in
     ascending order, left of it in descending order.  With gap g to the
     previous point (tau first), x_k = rho x_{k-1} + s z_k, rho = exp(-g / ell)
-    and s = sqrt(-expm1(-2 g / ell)); both walks are one unit-lower-bidiagonal
-    solve (``dtbtrs``), and values are mu + sigma x.  Points bit-equal to tau
-    keep the value; they and exact duplicates (s = 0) take no normal, so the
-    rank, the number of normals drawn, is the exact rank of the conditional
-    covariance.  A non-finite point raises :class:`ModelEvaluationError`
-    before any normal is drawn.  The chain is an exact factor, positive
-    semidefinite by construction, so neither the residual tests nor
-    :class:`SingularModelError` apply here.
+    and s = sqrt(-expm1(-2 g / ell)).  All walks of the block, end to end, are
+    one unit-lower-bidiagonal solve (``dtbtrs``); the normals are drawn in one
+    call, in row and then chain order, as one draw per row would take them.
+    Points bit-equal to tau keep the value; they and exact duplicates (s = 0)
+    take no normal, so a row's rank, the number of normals it draws, is the
+    exact rank of its conditional covariance.  A row with a non-finite point,
+    mean or std is dropped (:class:`ModelEvaluationError`) and takes no
+    normal; nothing else can fail, as the chain is an exact factor.
     """
-    t, t0 = points[:, 0], tau[0]
-    if not np.isfinite(t).all():
-        raise ModelEvaluationError("correlation function returned a non-finite value")
-    mean, sig = model.mean_at(points), model.std_at(points)
-    x_tau = (value_at_tau - model.mean_at(tau)[0]) / model.std_at(tau)[0]
-    n = t.size
-    order = np.argsort(t, kind="stable")
-    right = t[order] >= t0
-    chain = np.concatenate([order[right], order[~right][::-1]])
-    first = np.zeros(n, dtype=bool)
-    first[[0, np.count_nonzero(right) % n]] = True  # the first step of each walk
-    steps = t[chain]
-    gap = np.abs(steps - np.where(first, t0, np.roll(steps, 1))) / model.kernel.ell
-    rho = np.exp(-gap)
+    size, m = inside.shape
+    t, t0 = points[..., 0], taus[:, 0]
+    errors = {int(i): ModelEvaluationError("correlation function returned a non-finite value")
+              for i in np.flatnonzero((inside & ~np.isfinite(t)).any(axis=1))}
+    live = inside.copy()
+    live[list(errors)] = False
+    mean, sig = _moments_by_row(model, points, live, errors)
+    x_tau = (values_at_tau - model.mean_at(taus)) / model.std_at(taus)
+    # each row's live points sorted: the first `left` lie left of tau; the
+    # walk right of tau comes first, then the walk left of it
+    n = np.count_nonzero(live, axis=1)[:, None]
+    left = np.count_nonzero(live & (t < t0[:, None]), axis=1)[:, None]
+    j = np.arange(m)
+    walk = j < n
+    order = np.argsort(np.where(live, t, np.inf), axis=1, kind="stable")
+    chain = np.take_along_axis(order, np.where(j < n - left, left + j, n - 1 - j) * walk,
+                               axis=1)[walk]
+    del order  # every chain-long temporary is freed as soon as it is spent
+    row, first = np.repeat(np.arange(size), n[:, 0]), ((j == 0) | (j == n - left))[walk]
+    gap = t[row, chain]
+    gap -= np.where(first, t0[row], np.roll(gap, 1))
+    np.abs(gap, out=gap)
+    gap /= model.kernel.ell
+    rhs = np.exp(-gap)  # rho, until it becomes the right-hand side
+    band = np.zeros((2, row.size), order="F")  # unit diagonal; row 1 is the subdiagonal
+    np.negative(rhs[1:], out=band[1, :-1], where=~first[1:])
+    rhs *= np.where(first, x_tau[row], 0.0)
     scale = np.sqrt(-np.expm1(-2.0 * gap))
+    del gap
     drawn = scale > 0.0
-    rank = int(np.count_nonzero(drawn))
-    rhs = np.where(first, rho * x_tau, 0.0)
-    rhs[drawn] += scale[drawn] * rng.standard_normal(rank)
-    band = np.zeros((2, n), order="F")  # unit diagonal; row 1 is the subdiagonal
-    np.negative(rho[1:], out=band[1, :-1], where=~first[1:])
-    x, _ = dtbtrs(band, rhs[:, None], uplo="L", diag="U", overwrite_b=1)
-    values = np.empty(n)
-    values[chain] = x[:, 0]
-    values = mean + sig * values
-    values[t == t0] = value_at_tau
-    return values, rank
+    rank = np.bincount(row[drawn], minlength=size)
+    rhs[drawn] += scale[drawn] * rng.standard_normal(int(rank.sum()))
+    values = np.full((size, m), np.nan)
+    if row.size:
+        x, _ = dtbtrs(band, rhs[:, None], uplo="L", diag="U", overwrite_b=1)
+        values[row, chain] = x[:, 0]
+    values[live] = mean + sig * values[live]
+    np.copyto(values, values_at_tau[:, None], where=live & (t == t0[:, None]))
+    return values, rank, errors
 
 
 def _conditional_draw_single(model: FieldModel, taus: np.ndarray, values_at_tau: np.ndarray,
@@ -915,28 +946,45 @@ def _conditional_draw_single(model: FieldModel, taus: np.ndarray, values_at_tau:
     """Conditional draw of a block of one, ``points`` (1, n, d): returns
     (values (1, n), rank (1,), errors) as :func:`_conditional_draw_block` does.
 
-    The route is set by the model alone.  A model for which
-    :func:`_has_low_rank_columns` holds is drawn from kernel columns
-    (:func:`_column_factor`), consuming its rank normals; a model for which
-    :func:`_is_markov` holds is drawn as a chain (:func:`_markov_draw`);
-    every other model, and a covariance that reaches the column cap (before
-    any normal is drawn), takes :func:`_conditional_draw_block`.
+    A model for which :func:`_has_low_rank_columns` holds is drawn from
+    kernel columns (:func:`_column_factor`); every other model, and a
+    covariance that reaches the column cap, takes
+    :func:`_conditional_draw_block`.  On either route a failure, a non-finite
+    mean or std included, drops the draw before any normal is drawn.
     """
-    tau, value = taus[0], float(values_at_tau[0])
-    moments = None
     try:
-        if _is_markov(model):
-            values, rank = _markov_draw(model, tau, value, points[0], rng)
-            return values[None], np.array([rank]), {}
-        if _has_low_rank_columns(model):
-            moments = _column_factor(model, tau, value, points[0])
+        moments = (_column_factor(model, taus[0], float(values_at_tau[0]), points[0])
+                   if _has_low_rank_columns(model) else None)
+        if moments is None:
+            return _conditional_draw_block(model, taus, values_at_tau, points, rng)
     except (ModelEvaluationError, SingularModelError) as exc:
         return np.full((1, points.shape[1]), np.nan), np.zeros(1, dtype=int), {0: exc}
-    if moments is None:
-        return _conditional_draw_block(model, taus, values_at_tau, points, rng)
     mean, factor = moments
     values = mean + factor @ rng.standard_normal(factor.shape[1])
     return values[None], np.array([factor.shape[1]]), {}
+
+
+def _conditional_draw_inside(model: FieldModel, taus: np.ndarray, values_at_tau: np.ndarray,
+                             points: np.ndarray, inside: np.ndarray, rng):
+    """Conditional draws of a block at the points ``inside`` (B, m) alone,
+    exact since their law is the marginal of the law at all m points: returns
+    (values (B, m), rank (B,), errors) as :func:`_conditional_draw_block`
+    does, NaN outside ``inside``.  A model for which :func:`_is_markov` holds
+    draws the block as one chain (:func:`_markov_draw`); any other draws row
+    by row through :func:`_conditional_draw_single`.  A row with no inside
+    point draws nothing and has rank 0.
+    """
+    if _is_markov(model):
+        return _markov_draw(model, taus, values_at_tau, points, inside, rng)
+    values = np.full(inside.shape, np.nan)
+    rank, errors = np.zeros(len(taus), dtype=int), {}
+    for i in np.flatnonzero(inside.any(axis=1)):
+        row = slice(i, i + 1)
+        drawn, rank[row], failed = _conditional_draw_single(
+            model, taus[row], values_at_tau[row], points[row][:, inside[i]], rng)
+        values[i, inside[i]] = drawn[0]
+        errors.update((int(i), exc) for exc in failed.values())
+    return values, rank, errors
 
 
 # ---------------------------------------------------------------------------

@@ -245,15 +245,17 @@ class TestEstimateCommand:
         assert -349.0 < log10_est < -347.0
 
     def test_worker_count_does_not_change_bytes_at_inside_only_draws(self, capsys):
-        # blocks of one draw the field at the inside points only, so the
-        # per-thread buffers serve a different n from draw to draw
-        assert block_size(256) == 1
-        base = ["estimate", "--kernel", "sqexp", "--domain", "0,1", "--b", "6",
-                "--m", "256", "--n", "40"]
-        code, one = run_cli(base + ["--workers", "1"], capsys)
-        _, two = run_cli(base + ["--workers", "2"], capsys)
-        assert code == 0 and float(parse_csv(one)[0]["est"]) > 0
-        assert one == two
+        # at m >= 256 blocks of 16 draw the field at the inside points only,
+        # row by row (sqexp: the per-thread buffers serve a different n from
+        # draw to draw) or as one chain (exponential); n = 40 is three blocks
+        assert block_size(256) == 16
+        for kernel in ("sqexp", "exponential"):
+            base = ["estimate", "--kernel", kernel, "--domain", "0,1", "--b", "6",
+                    "--m", "256", "--n", "40"]
+            code, one = run_cli(base + ["--workers", "1"], capsys)
+            _, two = run_cli(base + ["--workers", "2"], capsys)
+            assert code == 0 and float(parse_csv(one)[0]["est"]) > 0
+            assert one == two
 
     def test_bad_kernel_exit_code(self, capsys):
         code, _ = run_cli(["estimate", "--kernel", "matern", "--domain", "0,1",

@@ -383,7 +383,8 @@ class TestBlocks:
     def test_block_sizes(self):
         assert block_size(20) == 312
         assert block_size(40) == 79
-        assert block_size(320) == 1
+        assert block_size(255) == 2
+        assert block_size(256) == block_size(320) == 16
 
     @pytest.mark.parametrize("fault, error", [("nan", ModelEvaluationError),
                                               ("indefinite", SingularModelError)])
@@ -416,16 +417,18 @@ class TestBlocks:
 
     @pytest.mark.parametrize("kernel, m, expected, route", [
         pytest.param(ex.SquaredExponential(), 256, 5, "columns", id="256-5"),
-        pytest.param(ex.Exponential(), 256, 5, "chain", id="exponential-256-5"),
+        pytest.param(ex.Exponential(), 256, 1, "chain", id="exponential-256-5"),
         pytest.param(ex.PowerExponential(1.5), 256, 5, "dense", id="powerexp1.5-256-5"),
-        pytest.param(ex.SquaredExponential(), 40, 0, "columns", id="40-0")])
+        pytest.param(ex.SquaredExponential(), 40, 5, "dense", id="40-0")])
     def test_only_blocks_of_one_call_the_single_draw_routines(self, monkeypatch, kernel, m,
                                                               expected, route):
-        # every block, one included, takes the block routines: the five
-        # single-draw names see no call.  Where a block is one replicate,
-        # each replicate enters its field route once: the kernel-column
-        # factor (1-d shape-2 kernels), the chain (1-d exponential) or one
-        # LAPACK factorization of its assembled covariance (any other model)
+        # every block takes the block routines: the five single-draw names
+        # see no call.  The n = 5 replicates are one block.  At m >= 256 each
+        # replicate enters its per-row field route once, the kernel-column
+        # factor (1-d shape-2 kernels) or one LAPACK factorization of its
+        # assembled covariance (any other model), and the chain (1-d
+        # exponential) is entered once for the whole block.  At m = 40 the
+        # block factors each of its five assembled covariances
         single = [(engine, name) for name in ("sample_design_points", "mes_hat", "alpha_hat")]
         single += [(field, name) for name in ("conditional_moments", "factor_psd")]
         routes = {"dense": (field, "_lapack_factor"), "columns": (field, "_column_factor"),
@@ -439,11 +442,8 @@ class TestBlocks:
         model = ex.FieldModel(ex.BoxDomain([0.0], [1.0]), kernel)
         ex.estimate_tail_and_excursion(model, 4.0, 5, m, density=ex.DesignDensity(1, 3, 1.0),
                                        seed=1, workers=1)
-        assert block_size(m) == (1 if expected else 79)
-        if expected:
-            assert calls == collections.Counter({routes[route][1]: expected})
-        else:  # one block of five, factored from its assembled covariances
-            assert calls == collections.Counter({"_lapack_factor": 5})
+        assert block_size(m) == (16 if m >= 256 else 79)
+        assert calls == collections.Counter({routes[route][1]: expected})
 
     def test_threads_keep_their_own_block_buffers(self, smooth_model):
         # six blocks of 79 on four threads, switching as often as possible
@@ -460,31 +460,38 @@ class TestBlocks:
             assert (a.estimate, a.std_err, a.errored) == (b.estimate, b.std_err, b.errored)
 
     def test_memory_is_bounded_in_n(self, smooth_model):
-        spec = ex.PRESETS["table2"]
-        density = ex.DesignDensity(2, spec["dof"], spec["scale"])
-
-        def peak_bytes(n):
+        def peak_bytes(model, b, m, density, n):
             tracemalloc.start()
             try:
-                ex.estimate_tail_and_excursion(smooth_model, 4.0, n, spec["m"],
-                                               density=density, seed=5, workers=1)
+                ex.estimate_tail_and_excursion(model, b, n, m, density=density, seed=5,
+                                               workers=1)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        peak_bytes(200)  # allocates this thread's block buffers
-        small, large = peak_bytes(2_000), peak_bytes(20_000)
+        spec = ex.PRESETS["table2"]  # blocks of 79 at m = 40
+        table2 = (smooth_model, 4.0, spec["m"], ex.DesignDensity(2, spec["dof"], spec["scale"]))
+        peak_bytes(*table2, 200)  # allocates this thread's block buffers
+        small, large = peak_bytes(*table2, 2_000), peak_bytes(*table2, 20_000)
         assert large <= 1.5 * small, (small, large)
+        # the 1-d exponential chain in blocks of 16 at m = 320: its block
+        # temporaries are small, so the kept per-replicate scalars (29 bytes
+        # in ReplicateArrays, then the kept copy) show; a field row kept per
+        # replicate would add m * 8 = 2560 bytes
+        rough = (ex.FieldModel(ex.BoxDomain([0.0], [1.0]), ex.Exponential()), 6.0, 320,
+                 ex.DesignDensity(1))
+        small, large = peak_bytes(*rough, 2_000), peak_bytes(*rough, 20_000)
+        assert large - small <= 64 * 18_000, (small, large)
 
 
 class TestInsideOnlyDraws:
-    # blocks of one (m >= 256) draw the field at the design points inside T only
+    # at m >= 256 blocks draw the field at the design points inside T only;
+    # these tests replay a block of one
 
     @pytest.fixture(scope="class")
     def large_m(self):
         model = ex.FieldModel(ex.BoxDomain([0.0], [1.0]), ex.SquaredExponential())
         b, m = 6.0, 320
-        assert block_size(m) == 1
         return {"model": model, "b": b, "m": m, "ctx": ex.measure_context(model, b),
                 "zeta": ex.cluster_scale(model, b), "density": ex.DesignDensity(1)}
 
@@ -536,10 +543,11 @@ class TestInsideOnlyDraws:
             rng, tau, value, draw = self._replay_design(s, seed)
             inside = draw.inside
             assert np.isnan(block.field_values[0, ~inside]).all()
-            values, rank = field._markov_draw(model, tau, value, draw.points[inside], rng)
-            assert block.errors == {} and block.rank.tolist() == [rank]
-            assert rank == np.setdiff1d(draw.points[inside], tau).size  # distinct, not tau
-            assert np.array_equal(block.field_values[0, inside], values)
+            values, rank, errors = field._markov_draw(model, tau[None], np.array([value]),
+                                                      draw.points[None], inside[None], rng)
+            assert block.errors == errors == {} and block.rank.tolist() == rank.tolist()
+            assert rank[0] == np.setdiff1d(draw.points[inside], tau).size  # distinct, not tau
+            assert np.array_equal(block.field_values, values, equal_nan=True)
             assert rng.bit_generator.state == block_rng.bit_generator.state
 
     def _check_dense_route(self, s, seed) -> int:

@@ -600,14 +600,23 @@ class _Normals:
         return out
 
 
+def _chain(model, tau, value, points, rng):
+    """(values, rank) of the chain draw at all of ``points`` (n, 1): a block
+    of one row."""
+    values, rank, errors = field._markov_draw(model, tau[None], np.array([value]),
+                                              points[None], np.ones((1, len(points)), bool), rng)
+    assert errors == {}
+    return values[0], int(rank[0])
+
+
 def _markov_moments(model, tau, value, points):
     """(mean, F, rank) of the chain draw, F built column by column by feeding
     unit normals: the draw is mean + F z."""
     n = points.shape[0]
-    mean, rank = field._markov_draw(model, tau, value, points, _Normals(np.zeros(n)))
+    mean, rank = _chain(model, tau, value, points, _Normals(np.zeros(n)))
     factor = np.empty((n, rank))
     for j in range(rank):
-        values, _ = field._markov_draw(model, tau, value, points, _Normals(np.eye(rank)[j]))
+        values, _ = _chain(model, tau, value, points, _Normals(np.eye(rank)[j]))
         factor[:, j] = values - mean
     return mean, factor, rank
 
@@ -636,10 +645,13 @@ class TestMarkovDraw:
         points = rng.random((1, 300, d))
         tau, value = np.full((1, d), 0.4), np.array([3.5])
         block, chain, dense = (np.random.default_rng(8) for _ in range(3))
-        values, rank, errors = field._conditional_draw_single(model, tau, value, points, block)
+        inside = np.ones((1, 300), bool)
+        values, rank, errors = field._conditional_draw_inside(model, tau, value, points,
+                                                              inside, block)
         assert errors == {}
         if markov:
-            expected, expected_rank = field._markov_draw(model, tau[0], 3.5, points[0], chain)
+            expected, expected_rank, _ = field._markov_draw(model, tau, value, points, inside,
+                                                            chain)
             replay = chain
         else:
             expected, expected_rank, _ = field._conditional_draw_block(model, tau, value,
@@ -680,7 +692,7 @@ class TestMarkovDraw:
         points[[40, 250]] = tau
         points[100] = points[101]
         rng = np.random.default_rng(13)
-        values, rank = field._markov_draw(model, tau, value, points, rng)
+        values, rank = _chain(model, tau, value, points, rng)
         assert rank == 320 - 4  # tau three times, one duplicate
         assert values[17] == values[40] == values[250] == value
         assert values[100] == values[101]
@@ -693,12 +705,81 @@ class TestMarkovDraw:
         points = np.random.default_rng(14).random((1, 50, 1))
         points[0, 5] = np.nan
         rng = np.random.default_rng(3)
-        values, rank, errors = field._conditional_draw_single(
-            model, np.array([[0.5]]), np.array([3.0]), points, rng)
+        values, rank, errors = field._conditional_draw_inside(
+            model, np.array([[0.5]]), np.array([3.0]), points, np.ones((1, 50), bool), rng)
         assert list(errors) == [0] and isinstance(errors[0], ModelEvaluationError)
         assert str(errors[0]) == "correlation function returned a non-finite value"
         assert np.isnan(values).all() and rank.tolist() == [0]
         assert rng.bit_generator.state == np.random.default_rng(3).bit_generator.state
+
+    @staticmethod
+    def _block(seed):
+        """Block inputs with the cases a row can hold: row 3 has no inside
+        point, row 5 pins two points to tau and row 6 holds exact duplicates
+        on each side of tau; most of each row's points lie in T."""
+        rng = np.random.default_rng(seed)
+        points = rng.normal(0.5, 0.4, (16, 320, 1))
+        taus = rng.random((16, 1))
+        inside = (points[..., 0] >= 0.0) & (points[..., 0] <= 1.0)
+        inside[3] = False
+        points[5, [10, 11]] = taus[5]
+        points[6, [20, 30]] = points[6, [21, 31]] = taus[6] + np.array([[-0.1], [0.1]])
+        inside[5:7, [10, 11, 20, 21, 30, 31]] = True
+        return taus, 6.0 + rng.random(16), points, inside
+
+    @pytest.mark.parametrize("mean, std", [
+        pytest.param(0.0, 1.0, id="unit"),
+        pytest.param(ex.LinearMean([0.7], 0.2), lambda p: 1.0 + 0.5 * p[:, 0], id="trend-std")])
+    def test_block_is_the_row_by_row_chain(self, mean, std):
+        # one solve for the block gives the bits, ranks and stream of one
+        # chain per row; a row with a NaN point drops alone and takes no normal
+        model = _exponential_model(ex.Exponential(0.3), mean=mean, std=std)
+        taus, values_at_tau, points, inside = self._block(15)
+        points[9, np.flatnonzero(inside[9])[0]] = np.nan
+        block_rng, row_rng = np.random.default_rng(16), np.random.default_rng(16)
+        values, rank, errors = field._markov_draw(model, taus, values_at_tau, points, inside,
+                                                  block_rng)
+        assert list(errors) == [9] and isinstance(errors[9], ModelEvaluationError)
+        for i in range(16):
+            if i == 9:
+                assert np.isnan(values[9]).all() and rank[9] == 0
+                continue
+            row = slice(i, i + 1)
+            expected, expected_rank, row_errors = field._markov_draw(
+                model, taus[row], values_at_tau[row], points[row], inside[row], row_rng)
+            assert row_errors == {} and rank[i] == expected_rank[0]
+            assert np.array_equal(values[row], expected, equal_nan=True)
+        assert rank[3] == 0 and np.isnan(values[3]).all()
+        assert values[5, 10] == values[5, 11] == values_at_tau[5]
+        assert values[6, 20] == values[6, 21] and values[6, 30] == values[6, 31]
+        assert block_rng.bit_generator.state == row_rng.bit_generator.state
+
+
+class TestInsideDraws:
+    # at m >= 256 a block draws each row at its inside points alone: the
+    # chain draws the whole block, the other routes go row by row
+
+    @pytest.mark.parametrize("kernel", [
+        pytest.param(ex.Exponential(0.3), id="chain"),
+        pytest.param(ex.SquaredExponential(), id="columns"),
+        pytest.param(ex.PowerExponential(1.5), id="dense")])
+    @pytest.mark.parametrize("which", ["mean", "std"])
+    def test_non_finite_mean_or_std_drops_only_its_row(self, kernel, which):
+        taus, values_at_tau, points, inside = TestMarkovDraw._block(17)
+        bad = points[9, np.flatnonzero(inside[9])[0], 0]
+        model = _exponential_model(kernel, **{which: lambda p: np.where(
+            p[:, 0] == bad, np.nan, 1.0 + 0.1 * p[:, 0])})
+        values, rank, errors = field._conditional_draw_inside(
+            model, taus, values_at_tau, points, inside, np.random.default_rng(18))
+        assert list(errors) == [9] and isinstance(errors[9], ModelEvaluationError)
+        assert str(errors[9]) == f"{which} function returned a non-finite value"
+        assert np.isnan(values[9]).all() and rank[9] == 0
+        keep = np.arange(16) != 9  # the other rows draw as if row 9 were not there
+        expected, expected_rank, _ = field._conditional_draw_inside(
+            model, taus[keep], values_at_tau[keep], points[keep], inside[keep],
+            np.random.default_rng(18))
+        assert np.array_equal(values[keep], expected, equal_nan=True)
+        assert rank[keep].tolist() == expected_rank.tolist()
 
 
 # ---------------------------------------------------------------------------

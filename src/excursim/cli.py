@@ -7,8 +7,12 @@ table <preset|config-path>   one CSV row per (level, target); presets
 pickands                     prefactor estimates H_alpha across levels
 estimate                     custom model given kernel/domain/mean specs
 
-Configs are flat ``key = value`` text files; command-line flags override file
-or preset values.  Output is CSV (or a gnuplot-friendly variant) written to
+An :class:`ExperimentConfig` decides every row.  Configs are flat
+``key = value`` text files; command-line flags override file or preset values,
+and both are parsed by the one key table ``_KEYS``.  A run takes exactly one
+of m and eps, and a preset's m counts.  An excursion-integral row's true value is
+always the quadrature oracle; a sup-tail row has one only when its preset
+names it.  Output is CSV (or a gnuplot-friendly variant) written to
 --out and echoed to stdout.  Runs are byte-reproducible for a fixed seed and
 any worker count; wall-clock timings are only written under --timing since
 they would break byte-identical output.
@@ -54,9 +58,7 @@ TABLE_COLUMNS = ("b", "target", "true_value", "est", "std_err", "n", "m", "seed"
 PICKANDS_COLUMNS = ("alpha", "b", "est", "std_err", "n", "m", "seed",
                     "wall_time_ms", "errored_replicates", "config_digest", "schema_version")
 
-_CONFIG_KEYS = {"experiment", "kernel", "domain", "mean", "b", "n", "m", "eps",
-                "seed", "dof", "scale", "targets", "out", "workers", "format",
-                "timing"}
+TARGETS = ("sup_tail", "excursion_integral")
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +80,6 @@ class ExperimentConfig:
     scale: float | None = None
     alpha: float | None = None
     targets: tuple = ("sup_tail",)
-    oracle: str | None = None
     out: str | None = None
     workers: int = 1
     format: str = "csv"
@@ -95,6 +96,9 @@ class ExperimentConfig:
             raise ConfigurationError("seed must be non-negative")
         if not self.b or any(v <= 1.0 for v in self.b):
             raise ConfigurationError("levels b must all exceed 1")
+        if not self.targets or not set(self.targets) <= set(TARGETS):
+            raise ConfigurationError(f"targets {','.join(self.targets)!r} must be "
+                                     f"one or both of {','.join(TARGETS)}")
         if self.workers < 1:
             raise ConfigurationError("workers must be positive")
         if self.format not in ("csv", "gnuplot"):
@@ -115,11 +119,20 @@ class ExperimentConfig:
         return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 
 
-def _parse_levels(text: str) -> tuple:
-    try:
-        return tuple(float(part) for part in str(text).split(",") if part.strip())
-    except ValueError as exc:
-        raise ConfigurationError(f"could not parse levels {text!r}") from exc
+def _parts(text: str) -> list:
+    return [part.strip() for part in text.split(",") if part.strip()]
+
+
+# Every key a config file or a flag may set, with the parser of its text.
+# alpha is not among them: only ``pickands --alpha`` sets it.
+_KEYS = {
+    "experiment": str, "kernel": str, "domain": str, "mean": str,
+    "b": lambda text: tuple(float(part) for part in _parts(text)),
+    "n": int, "m": int, "eps": float, "seed": int, "dof": int, "scale": float,
+    "targets": lambda text: tuple(_parts(text)),
+    "out": str, "workers": int, "format": str,
+    "timing": lambda text: text.lower() in ("1", "true", "yes", "on"),
+}
 
 
 def parse_config_file(path: str) -> dict:
@@ -138,42 +151,31 @@ def parse_config_file(path: str) -> dict:
             raise ConfigurationError(f"{path}:{lineno}: expected key = value")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _KEYS:
             raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
         values[key] = value.strip()
     return values
 
 
-_INT_KEYS = {"n", "m", "seed", "dof", "workers"}
-_FLOAT_KEYS = {"eps", "scale"}
-
-
-def _coerce(key: str, value):
-    if value is None or not isinstance(value, str):
+def _parse(key: str, value):
+    if key not in _KEYS or not isinstance(value, str):
         return value
-    if key == "b":
-        return _parse_levels(value)
-    if key == "targets":
-        return tuple(part.strip() for part in value.split(",") if part.strip())
-    if key == "timing":
-        return value.lower() in ("1", "true", "yes", "on")
     try:
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
+        return _KEYS[key](value)
     except ValueError as exc:
         raise ConfigurationError(f"invalid value for {key}: {value!r}") from exc
-    return value
 
 
 def build_config(base: dict, overrides: dict) -> ExperimentConfig:
-    merged = dict(base)
-    for key, value in overrides.items():
-        if value is not None:
-            merged[key] = value
-    merged = {k: _coerce(k, v) for k, v in merged.items()}
-    merged.pop("model", None)  # a preset's builder; config_model rebuilds it by name
+    """The config of ``base`` (a preset or a config file's values) with
+    ``overrides`` (the flags given) on top; text values go through ``_KEYS``.
+
+    A preset's ``model`` builder and ``oracle`` name are not configuration:
+    ``config_model`` rebuilds the model and ``_true_value`` looks up the
+    oracle, both by the experiment's name.
+    """
+    merged = {key: _parse(key, value) for key, value in {**base, **overrides}.items()
+              if key not in ("model", "oracle")}
     try:
         return ExperimentConfig(**merged)
     except TypeError as exc:
@@ -343,11 +345,10 @@ def _row(config: ExperimentConfig, report: EstimateReport, true_value: float | N
 
 def _true_value(config: ExperimentConfig, model: FieldModel, target: str,
                 b: float) -> float | None:
-    if target == "sup_tail" and config.oracle == "cosine_closed_form":
-        return cosine_truth(b)
-    if target == "excursion_integral" and config.oracle in ("excursion_quadrature",
-                                                            "cosine_closed_form"):
+    if target == "excursion_integral":
         return expected_excursion_measure(model, b)
+    if PRESETS.get(config.experiment, {}).get("oracle") == "cosine_truth":
+        return cosine_truth(b)
     return None
 
 
@@ -423,50 +424,44 @@ def emit(text: str, out_path: str | None):
 # ---------------------------------------------------------------------------
 
 def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--seed", type=int, help="base seed for replicate streams")
-    parser.add_argument("--n", type=int, help="replicates per level")
-    parser.add_argument("--m", type=int, help="design points per replicate")
-    parser.add_argument("--eps", type=float,
-                        help="target relative bias; sets m when --m is absent")
+    parser.add_argument("--seed", help="base seed for replicate streams")
+    parser.add_argument("--n", help="replicates per level")
+    parser.add_argument("--m", help="design points per replicate (a preset sets its own)")
+    parser.add_argument("--eps", help="target relative bias, which sets m; "
+                                      "an error when --m or a preset sets m")
     parser.add_argument("--out", help="CSV output path (also echoed to stdout)")
-    parser.add_argument("--workers", type=int,
+    parser.add_argument("--workers",
                         help="worker threads, each taking whole replicate blocks (default 1)")
-    parser.add_argument("--format", choices=("csv", "gnuplot"), dest="fmt",
-                        help="output format (default csv)")
-    parser.add_argument("--dof", type=int, help="design density degrees of freedom")
-    parser.add_argument("--scale", type=float, help="design density scale")
-    parser.add_argument("--timing", action="store_true", default=None,
+    parser.add_argument("--format", help="output format: csv (default) or gnuplot")
+    parser.add_argument("--dof", help="design density degrees of freedom")
+    parser.add_argument("--scale", help="design density scale")
+    parser.add_argument("--timing", action="store_true",
                         help="fill wall_time_ms (makes output non-reproducible)")
 
 
-def _overrides(args: argparse.Namespace) -> dict:
-    keys = ("seed", "n", "m", "eps", "out", "workers", "dof", "scale", "timing")
-    out = {k: getattr(args, k, None) for k in keys}
-    out["format"] = getattr(args, "fmt", None)
-    for key in ("b", "alpha", "kernel", "domain", "mean", "targets"):
-        if getattr(args, key, None) is not None:
-            out[key] = getattr(args, key)
-    return out
-
-
 def build_parser() -> argparse.ArgumentParser:
+    """Each subcommand's namespace holds only the flags given (their defaults
+    are suppressed), as text that ``build_config`` parses through ``_KEYS``."""
     parser = argparse.ArgumentParser(
         prog="excursim",
         description="Rare-event estimation for suprema of Gaussian random fields.")
     sub = parser.add_subparsers(dest="command", required=True)
+    given_only = {"argument_default": argparse.SUPPRESS}
 
-    p_table = sub.add_parser("table", help="run a preset or config-file experiment")
+    p_table = sub.add_parser("table", help="run a preset or config-file experiment",
+                             **given_only)
     p_table.add_argument("source", help=f"preset ({', '.join(sorted(PRESETS))}) or config path")
     p_table.add_argument("--b", help="comma-separated levels, e.g. 3,4,5")
     _add_common(p_table)
 
-    p_pick = sub.add_parser("pickands", help="estimate the tail prefactor H_alpha")
+    p_pick = sub.add_parser("pickands", help="estimate the tail prefactor H_alpha",
+                            **given_only)
     p_pick.add_argument("--alpha", type=float, required=True,
                         help="correlation exponent in (0, 2]")
     p_pick.add_argument("--b", help="comma-separated levels (default 6,7,8)")
     _add_common(p_pick)
 
-    p_est = sub.add_parser("estimate", help="run a custom model")
+    p_est = sub.add_parser("estimate", help="run a custom model", **given_only)
     p_est.add_argument("--kernel", required=True,
                        help="cosine | sqexp[:ell=..] | exponential[:ell=..] | powerexp:alpha=..[,ell=..]")
     p_est.add_argument("--domain", required=True, help="per-axis 'lo,hi' joined by ';'")
@@ -480,26 +475,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    flags = vars(build_parser().parse_args(argv))
+    command = flags.pop("command")
     try:
-        if args.command == "table":
-            config = table_config(args.source, _overrides(args))
+        if command == "table":
+            config = table_config(flags.pop("source"), flags)
             rows = run_table(config)
-            emit(render_rows(rows, TABLE_COLUMNS, config.format), config.out)
-        elif args.command == "pickands":
-            base = {"b": (6.0, 7.0, 8.0), "n": 1000}
-            config = build_config(base, _overrides(args))
+        elif command == "pickands":
+            config = build_config({"b": (6.0, 7.0, 8.0), "n": 1000}, flags)
             rows = run_pickands(config)
-            emit(render_rows(rows, PICKANDS_COLUMNS, config.format), config.out)
         else:
-            with_exc = args.with_excursion
-            base = {"targets": ("sup_tail", "excursion_integral") if with_exc
-                    else ("sup_tail",),
-                    "oracle": "excursion_quadrature" if with_exc else None}
-            config = build_config(base, _overrides(args))
+            base = {"targets": TARGETS} if flags.pop("with_excursion", False) else {}
+            config = build_config(base, flags)
             rows = run_table(config)
-            emit(render_rows(rows, TABLE_COLUMNS, config.format), config.out)
+        columns = PICKANDS_COLUMNS if command == "pickands" else TABLE_COLUMNS
+        emit(render_rows(rows, columns, config.format), config.out)
     except (ConfigurationError, InvalidLevelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -405,13 +405,11 @@ def _simulate(model: FieldModel, b: float, n: int, m: int | None, eps: float | N
     Returns the kept replicates and the report fields of the run: b, m,
     seed, the errored count and the wall time of the draws.
     """
+    if (m is None) == (eps is None):
+        raise ConfigurationError("specify exactly one of m and eps")
+    m = int(m) if eps is None else choose_m(eps, model)
     ctx = measure_context(model, b)
     zeta = cluster_scale(model, b)
-    if m is None:
-        if eps is None:
-            raise ConfigurationError("specify either m or eps")
-        m = choose_m(eps, model)
-    m = int(m)
     if density is None:
         density = DesignDensity(model.dimension)
     start = time.perf_counter()

@@ -941,48 +941,41 @@ def _markov_draw(model: FieldModel, taus: np.ndarray, values_at_tau: np.ndarray,
     return values, rank, errors
 
 
-def _conditional_draw_single(model: FieldModel, taus: np.ndarray, values_at_tau: np.ndarray,
-                             points: np.ndarray, rng):
-    """Conditional draw of a block of one, ``points`` (1, n, d): returns
-    (values (1, n), rank (1,), errors) as :func:`_conditional_draw_block` does.
-
-    A model for which :func:`_has_low_rank_columns` holds is drawn from
-    kernel columns (:func:`_column_factor`); every other model, and a
-    covariance that reaches the column cap, takes
-    :func:`_conditional_draw_block`.  On either route a failure, a non-finite
-    mean or std included, drops the draw before any normal is drawn.
-    """
-    try:
-        moments = (_column_factor(model, taus[0], float(values_at_tau[0]), points[0])
-                   if _has_low_rank_columns(model) else None)
-        if moments is None:
-            return _conditional_draw_block(model, taus, values_at_tau, points, rng)
-    except (ModelEvaluationError, SingularModelError) as exc:
-        return np.full((1, points.shape[1]), np.nan), np.zeros(1, dtype=int), {0: exc}
-    mean, factor = moments
-    values = mean + factor @ rng.standard_normal(factor.shape[1])
-    return values[None], np.array([factor.shape[1]]), {}
-
-
 def _conditional_draw_inside(model: FieldModel, taus: np.ndarray, values_at_tau: np.ndarray,
                              points: np.ndarray, inside: np.ndarray, rng):
     """Conditional draws of a block at the points ``inside`` (B, m) alone,
     exact since their law is the marginal of the law at all m points: returns
     (values (B, m), rank (B,), errors) as :func:`_conditional_draw_block`
     does, NaN outside ``inside``.  A model for which :func:`_is_markov` holds
-    draws the block as one chain (:func:`_markov_draw`); any other draws row
-    by row through :func:`_conditional_draw_single`.  A row with no inside
-    point draws nothing and has rank 0.
+    draws the block as one chain (:func:`_markov_draw`).  Any other draws row
+    by row: from kernel columns (:func:`_column_factor`) when
+    :func:`_has_low_rank_columns` holds and the covariance stays under the
+    column cap, else as a block of one (:func:`_conditional_draw_block`).  On
+    either route a failure, a non-finite mean or std included, drops the row
+    before it draws a normal.  A row with no inside point draws nothing and
+    has rank 0.
     """
     if _is_markov(model):
         return _markov_draw(model, taus, values_at_tau, points, inside, rng)
+    columns = _has_low_rank_columns(model)
     values = np.full(inside.shape, np.nan)
     rank, errors = np.zeros(len(taus), dtype=int), {}
     for i in np.flatnonzero(inside.any(axis=1)):
-        row = slice(i, i + 1)
-        drawn, rank[row], failed = _conditional_draw_single(
-            model, taus[row], values_at_tau[row], points[row][:, inside[i]], rng)
-        values[i, inside[i]] = drawn[0]
+        row, at = slice(i, i + 1), inside[i]
+        try:
+            moments = (_column_factor(model, taus[i], float(values_at_tau[i]), points[i, at])
+                       if columns else None)
+            if moments is None:
+                drawn, rank[row], failed = _conditional_draw_block(
+                    model, taus[row], values_at_tau[row], points[row][:, at], rng)
+            else:
+                mean, factor = moments
+                rank[i], failed = factor.shape[1], {}
+                drawn = mean + factor @ rng.standard_normal(rank[i])
+        except (ModelEvaluationError, SingularModelError) as exc:
+            errors[int(i)] = exc
+            continue
+        values[i, at] = drawn
         errors.update((int(i), exc) for exc in failed.values())
     return values, rank, errors
 

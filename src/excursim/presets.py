@@ -2,8 +2,10 @@
 
 Each preset fixes the field model, levels, replicate and design-point counts,
 the base design density's degrees of freedom and scale (``cli.config_density``
-builds the density from them), the oracle of the true values, and a default
-seed, so a single command reproduces a full table.  Design-density scales come
+builds the density from them) and a default seed, so a single command
+reproduces a full table.  An entry whose sup tail has an exact oracle names it
+under ``oracle`` (table1: ``cosine_truth``); every excursion-integral row takes
+the quadrature oracle ``expected_excursion_measure``.  Design-density scales come
 from the published density formulas, renormalized to integrate to one (the
 printed normalizing constants are not consistent with true densities; see
 README).
@@ -62,7 +64,7 @@ PRESETS: dict[str, dict] = {
         "b": [3.0, 4.0, 5.0, 6.0, 7.0, 8.0],
         "n": 1000, "m": 20, "dof": 3, "scale": 1.0,
         "targets": ("sup_tail",),
-        "oracle": "cosine_closed_form",
+        "oracle": "cosine_truth",
         "seed": 31415,
     },
     "table2": {
@@ -70,7 +72,6 @@ PRESETS: dict[str, dict] = {
         "b": [3.0, 4.0, 5.0, 6.0, 7.0, 8.0],
         "n": 1000, "m": 40, "dof": 4, "scale": 0.625,
         "targets": ("sup_tail", "excursion_integral"),
-        "oracle": "excursion_quadrature",
         "seed": 31415,
     },
     "table3": {
@@ -78,7 +79,6 @@ PRESETS: dict[str, dict] = {
         "b": [3.0, 4.0, 5.0, 6.0, 7.0, 8.0],
         "n": 1000, "m": 40, "dof": 4, "scale": 0.625,
         "targets": ("sup_tail", "excursion_integral"),
-        "oracle": "excursion_quadrature",
         "seed": 31415,
     },
     "table4": {
@@ -86,7 +86,6 @@ PRESETS: dict[str, dict] = {
         "b": [3.0, 4.0, 5.0, 6.0, 7.0, 8.0],
         "n": 1000, "m": 40, "dof": 4, "scale": 0.5,
         "targets": ("sup_tail", "excursion_integral"),
-        "oracle": "excursion_quadrature",
         "seed": 31415,
     },
 }

@@ -7,6 +7,7 @@ import excursim as ex
 from excursim.cli import (
     ExperimentConfig,
     TABLE_COLUMNS,
+    TARGETS,
     build_config,
     main,
     parse_config_file,
@@ -117,6 +118,13 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             ExperimentConfig(seed=-1)
 
+    def test_preset_builder_and_oracle_name_are_not_configuration(self):
+        base = {"kernel": "sqexp", "domain": "0,1", "targets": TARGETS}
+        plain = build_config(base, {"m": 20})
+        named = build_config({**base, "model": None, "oracle": "excursion_quadrature"},
+                             {"m": 20})
+        assert named == plain
+
     def test_digest_stable_and_sensitive(self):
         a = build_config({"experiment": "table1", "model": None}, {"n": 50})
         b = build_config({"experiment": "table1", "model": None}, {"n": 50})
@@ -174,6 +182,20 @@ class TestTableCommand:
         exc_row = next(r for r in rows if r["target"] == "excursion_integral")
         assert tail_row["true_value"] == ""  # no closed form for the sup tail
         assert float(exc_row["true_value"]) > 0
+
+    def test_config_file_custom_run_matches_the_estimate_flags(self, capsys, tmp_path):
+        # the same configuration, so the same digest and the same bytes: the
+        # excursion row takes its quadrature oracle on both paths
+        path = tmp_path / "run.cfg"
+        path.write_text("kernel = sqexp\ndomain = 0,1\nb = 3\nn = 50\nm = 20\n"
+                        "targets = sup_tail,excursion_integral\n")
+        code, from_file = run_cli(["table", str(path)], capsys)
+        _, from_flags = run_cli(["estimate", "--kernel", "sqexp", "--domain", "0,1",
+                                 "--b", "3", "--n", "50", "--m", "20",
+                                 "--with-excursion"], capsys)
+        assert code == 0 and from_file == from_flags
+        exc = next(r for r in parse_csv(from_file) if r["target"] == "excursion_integral")
+        assert exc["true_value"] == "1.3498980316e-03"
 
     def test_gnuplot_format(self, capsys):
         code, out = run_cli(["table", "table1", "--n", "50", "--m", "10",
@@ -283,6 +305,31 @@ class TestRejectedInputs:
         code, out = run_cli(["estimate", "--kernel", spec, "--domain", "0,1",
                              "--b", "3", "--n", "50", "--m", "5"], capsys)
         assert code == 2 and out == ""
+
+    @pytest.mark.parametrize("targets", ["sup_tial", "sup_tail,excursion", ""])
+    def test_unknown_or_empty_targets(self, capsys, tmp_path, targets):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"kernel = sqexp\ndomain = 0,1\nb = 3\nn = 50\nm = 20\n"
+                        f"targets = {targets}\n")
+        code, out = run_cli(["table", str(path)], capsys)
+        assert code == 2 and out == ""
+
+    @pytest.mark.parametrize("args", [
+        pytest.param(["table", "table1", "--b", "3", "--n", "50"], id="preset-m"),
+        pytest.param(["estimate", "--kernel", "sqexp", "--domain", "0,1", "--b", "3",
+                      "--n", "50", "--m", "20"], id="flag-m")])
+    def test_eps_where_m_is_set(self, capsys, args):
+        # --eps would otherwise be ignored in favour of the m already set
+        code = main(args + ["--eps", "0.5"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: specify exactly one of m and eps\n"
+
+    def test_flag_value_that_does_not_parse(self, capsys):
+        code = main(["table", "table1", "--n", "many"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: invalid value for n: 'many'\n"
 
     def test_pickands_eps(self, capsys):
         code, out = run_cli(["pickands", "--alpha", "2", "--b", "6", "--n", "50",

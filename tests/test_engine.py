@@ -248,6 +248,10 @@ class TestEstimateTail:
         with pytest.raises(ConfigurationError):
             ex.estimate_tail(cosine_model, 3.0, 50)
 
+    def test_both_m_and_eps_rejected(self, cosine_model):
+        with pytest.raises(ConfigurationError, match="exactly one of m and eps"):
+            ex.estimate_tail(cosine_model, 3.0, 50, m=40, eps=0.5)
+
     def test_deterministic_in_seed_and_workers(self, cosine_model):
         # m = 64 gives blocks of 31, so n = 300 spans ten blocks and the
         # four-worker run really goes through the thread pool

@@ -556,8 +556,9 @@ class TestColumnFactor:
         mean, factor = field._column_factor(model, tau, value, points)
         assert mean[3] == mean[100] == value
         assert not factor[[3, 100]].any()
-        values, rank, errors = field._conditional_draw_single(
-            model, tau[None], np.array([value]), points[None], np.random.default_rng(2))
+        values, rank, errors = field._conditional_draw_inside(
+            model, tau[None], np.array([value]), points[None],
+            np.ones((1, points.shape[0]), dtype=bool), np.random.default_rng(2))
         assert errors == {} and rank[0] == factor.shape[1]
         assert values[0, 3] == values[0, 100] == value
 
@@ -567,8 +568,9 @@ class TestColumnFactor:
         points = points.copy()
         points[5] = np.nan
         rng = np.random.default_rng(3)
-        values, rank, errors = field._conditional_draw_single(
-            model, tau[None], np.array([value]), points[None], rng)
+        values, rank, errors = field._conditional_draw_inside(
+            model, tau[None], np.array([value]), points[None],
+            np.ones((1, points.shape[0]), dtype=bool), rng)
         assert list(errors) == [0] and isinstance(errors[0], ModelEvaluationError)
         assert str(errors[0]) == "correlation function returned a non-finite value"
         assert np.isnan(values).all() and rank.tolist() == [0]

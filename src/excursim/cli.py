@@ -99,6 +99,8 @@ class ExperimentConfig:
         if not self.targets or not set(self.targets) <= set(TARGETS):
             raise ConfigurationError(f"targets {','.join(self.targets)!r} must be "
                                      f"one or both of {','.join(TARGETS)}")
+        # one run, one digest: the targets are kept in TARGETS order
+        self.targets = tuple(target for target in TARGETS if target in self.targets)
         if self.workers < 1:
             raise ConfigurationError("workers must be positive")
         if self.format not in ("csv", "gnuplot"):
@@ -123,6 +125,13 @@ def _parts(text: str) -> list:
     return [part.strip() for part in text.split(",") if part.strip()]
 
 
+def _switch(text: str) -> bool:
+    word = text.lower()
+    if word not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+        raise ValueError(f"not a switch: {text!r}")
+    return word in ("1", "true", "yes", "on")
+
+
 # Every key a config file or a flag may set, with the parser of its text.
 # alpha is not among them: only ``pickands --alpha`` sets it.
 _KEYS = {
@@ -131,7 +140,7 @@ _KEYS = {
     "n": int, "m": int, "eps": float, "seed": int, "dof": int, "scale": float,
     "targets": lambda text: tuple(_parts(text)),
     "out": str, "workers": int, "format": str,
-    "timing": lambda text: text.lower() in ("1", "true", "yes", "on"),
+    "timing": _switch,
 }
 
 

@@ -10,9 +10,9 @@ take whole blocks.  Below m = 256 a byte budget for the block's covariance
 buffer sets B, and the field is drawn at all m points from the assembled
 covariances.  From m = 256 on, blocks are 16 replicates and the field is
 drawn only at the design points inside T, the only ones the estimators read:
-a 1-d exponential block as one Markov chain outward from each tau, any other
-model row by row (a 1-d built-in shape-2 kernel from kernel columns, the rest
-from the row's assembled covariance).
+a 1-d exponential block as one Markov chain outward from each tau, a 1-d
+built-in shape-2 kernel from one kernel-column factorization of the whole
+block, and any other model row by row from the row's assembled covariance.
 A run keeps per-replicate scalars only, as parallel arrays (log z, log y,
 mes, rank, ok).  Every estimator aggregates from the log weights, scaled by
 their largest value so that they stay finite where the weights underflow,

@@ -6,17 +6,16 @@ kernel.  All sampling is exact at finite point sets.  A covariance is
 factored once, by Cholesky when it is positive definite and otherwise by a
 pivoted Cholesky that returns its numerical rank.  A conditional draw of a
 1-d model at the inside points forms no covariance when its kernel is built
-in: a shape-2 kernel runs that pivoted Cholesky on kernel columns, one
-replicate at a time, and the exponential kernel, which is Markov on the line,
-draws a whole block as AR(1) chains outward from the conditioning points in
-one O(n) banded solve; every other draw takes the block code.  Gaussian
-tails go through the complementary error function, so levels around
-``b = 8`` (tail mass ~1e-16) keep full relative accuracy.
+in: a shape-2 kernel runs that pivoted Cholesky on kernel columns for all
+replicates of a block in one loop, and the exponential kernel, which is
+Markov on the line, draws a whole block as AR(1) chains outward from the
+conditioning points in one O(n) banded solve; every other draw takes the
+block code.  Gaussian tails go through the complementary error function, so
+levels around ``b = 8`` (tail mass ~1e-16) keep full relative accuracy.
 """
 
 from __future__ import annotations
 
-import math
 import threading
 from dataclasses import dataclass
 
@@ -774,12 +773,13 @@ def _has_low_rank_columns(model: FieldModel) -> bool:
     return type(kernel) in (PowerExponential, SquaredExponential) and kernel.shape == 2.0
 
 
-def _kernel_column(kernel, t: np.ndarray, p: int, out: np.ndarray) -> np.ndarray:
-    """Column r(t, t_p) of a kernel that takes :func:`_column_factor`, at the
-    1-d points ``t`` (n,), into ``out``: the kernel's own steps after the
-    subtraction, so bit-equal to ``kernel(points, points[p:p + 1])[:, 0]``
-    ((h / ell)**2 equals (|h| / ell)**2 exactly), without its array set-up."""
-    np.subtract(t, t[p], out=out)
+def _kernel_column(kernel, t: np.ndarray, t_p: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Columns r(t, t_p) of a kernel that takes :func:`_column_factor`, at the
+    1-d points ``t`` (B, n) and one point ``t_p`` (B, 1) per row, into ``out``:
+    the kernel's own steps after the subtraction, so row i is bit-equal to
+    ``kernel(t[i][:, None], t_p[i][:, None])[:, 0]`` ((h / ell)**2 equals
+    (|h| / ell)**2 exactly), without its array set-up."""
+    np.subtract(t, t_p, out=out)
     if type(kernel) is CosineProcess:
         return np.cos(out, out=out)
     if kernel.ell != 1.0:
@@ -789,68 +789,127 @@ def _kernel_column(kernel, t: np.ndarray, p: int, out: np.ndarray) -> np.ndarray
     return np.exp(out, out=out)
 
 
-def _column_factor(model: FieldModel, tau: np.ndarray, value_at_tau: float,
-                   points: np.ndarray):
-    """Conditional mean and a factor F (n, r) of the conditional covariance
-    at ``points`` (n, d) given f(tau) = value_at_tau, or None when F would
-    need more than ``_COLUMN_CAP`` columns.
+def _live_moments(model: FieldModel, points: np.ndarray, inside: np.ndarray):
+    """The points of ``inside`` (B, m) that the 1-d routes can draw, with mu
+    and sigma there, row-major: a row with a non-finite point, mean or std
+    goes into ``errors`` and keeps no live point.  Returns (live, mu, sigma,
+    errors)."""
+    errors = {int(i): ModelEvaluationError("correlation function returned a non-finite value")
+              for i in np.flatnonzero((inside & ~np.isfinite(points[..., 0])).any(axis=1))}
+    live = inside.copy()
+    live[list(errors)] = False
+    try:
+        at = points[live]
+        return live, model.mean_at(at), model.std_at(at), errors
+    except ModelEvaluationError:
+        for i in np.flatnonzero(live.any(axis=1)):
+            try:
+                model.mean_at(points[i, live[i]]), model.std_at(points[i, live[i]])
+            except ModelEvaluationError as exc:
+                errors[int(i)], live[i] = exc, False
+    return live, model.mean_at(points[live]), model.std_at(points[live]), errors
 
-    A pivoted Cholesky on kernel columns that never forms the n x n
+
+def _column_factor(model: FieldModel, taus: np.ndarray, values_at_tau: np.ndarray,
+                   points: np.ndarray, inside: np.ndarray):
+    """Conditional means and factors of a block from kernel columns, for a
+    model where :func:`_has_low_rank_columns` holds: row i at the points
+    ``inside[i]`` of ``points[i]`` (m, 1) given f(taus[i]) = values_at_tau[i].
+
+    Returns (mean (B, n), factor (B, r, n), rank (B,), live (B, m), errors,
+    dense).  Row i's points ``live[i]`` fill its first slots in order, and
+    tau_i pads the rest up to n, the largest count; its draw is mean[i] +
+    z @ factor[i] with rank[i] normals z (factor[i] is F_i^T, zero past
+    rank[i]).  ``errors`` maps each dropped row to its error, and ``dense``
+    lists the rows that need more than ``_COLUMN_CAP`` columns; these rows
+    keep no live point and have rank 0.
+
+    One pivoted Cholesky on kernel columns for all rows, which never forms a
     covariance: the residual diagonal starts at sigma^2 (1 - r_tau^2), and
-    the column at pivot p is sigma sigma_p r(., t_p) - G G_p^T, with G the
-    columns taken so far behind the rank-one term sigma r_tau.  It pivots on
-    the largest residual diagonal and stops where dpstrf does.  The mean
-    reads only r_tau.  Points bit-equal to tau keep the value: they are
-    never pivoted and their factor rows are zero.
+    each step takes, per row, the column at the largest residual p,
+    sigma sigma_p r(., t_p) - G G_p^T, with G the columns taken so far
+    behind the rank-one term sigma r_tau.  A row stops where dpstrf does,
+    at n_i * unit roundoff * its largest residual, and then takes zero
+    columns.  The mean reads only r_tau.  Points bit-equal to tau, padding
+    included, have zero residual, so they are never pivoted, keep the value
+    and have zero factor rows.
 
-    Non-finite kernel values carry into the factor, which is checked once
-    (:class:`ModelEvaluationError`); a residual diagonal below
-    -_INDEFINITE_TOL * trace/n raises :class:`SingularModelError`, as in
-    :func:`factor_psd`.  The residual probe of :func:`factor_psd` is not run:
-    it would cost the n^2 kernel values this route avoids, and the kernels
-    that take it (see :func:`_has_low_rank_columns`) are positive
-    semidefinite by construction.
+    A row with a non-finite point, mean or std, or a non-finite value in the
+    columns it took, is dropped (:class:`ModelEvaluationError`), as is one
+    with a residual diagonal below -_INDEFINITE_TOL * trace/n_i
+    (:class:`SingularModelError`, as in :func:`factor_psd`).  The residual
+    probe of :func:`factor_psd` is not run: it would cost the n^2 kernel
+    values this route avoids, and these kernels are positive semidefinite
+    by construction.
     """
-    n = points.shape[0]
-    tau = tau.reshape(1, -1)
-    sig = model.std_at(points)
-    r_tau = model.kernel(points, tau)[:, 0]
-    mean = (model.mean_at(points)
-            + (sig / model.std_at(tau)[0]) * r_tau * (value_at_tau - model.mean_at(tau)[0]))
-    pinned = (points == tau).all(axis=1)
-    mean[pinned] = value_at_tau
-    residual = sig * sig * (1.0 - r_tau * r_tau)
+    size = len(taus)
+    t0 = taus[:, :1]
+    live, mu, sig, errors = _live_moments(model, points, inside)
+    count = np.count_nonzero(live, axis=1)
+    n = int(count.max(initial=0))
+    valid = np.arange(n) < count[:, None]
+    t = np.repeat(t0, n, axis=1)
+    t[valid] = points[..., 0][live]
+    sig_tau, mu_tau = model.std_at(taus)[:, None], model.mean_at(taus)[:, None]
+    s = np.repeat(sig_tau, n, axis=1)
+    s[valid] = sig
+    mean = np.repeat(mu_tau, n, axis=1)
+    mean[valid] = mu
+    r_tau = _kernel_column(model.kernel, t, t0, np.empty((size, n)))
+    mean += (s / sig_tau) * r_tau * (values_at_tau[:, None] - mu_tau)
+    pinned = t == t0
+    np.copyto(mean, values_at_tau[:, None], where=pinned)
+    residual = s * s * (1.0 - r_tau * r_tau)
     residual[pinned] = 0.0
-    trace = residual.sum()
-    stop = n * _UNIT_ROUNDOFF * residual.max()
-    # cols[0] is sigma r_tau; cols[1:rank + 1] are the columns of F
-    cols = np.empty((min(n, _COLUMN_CAP) + 1, n))
-    np.multiply(sig, r_tau, out=cols[0])
-    column = np.empty(n)
-    rank = 0
-    while rank < n:
-        p = int(residual.argmax())
-        pivot = residual[p]
-        if not pivot > stop:  # NaN stops too
+    trace = residual.sum(axis=1)
+    stop = count * _UNIT_ROUNDOFF * residual.max(axis=1, initial=0.0)
+    # cols[0] is sigma r_tau and cols[1:k + 1] are the factors' columns,
+    # each (B, n); the buffer grows with the ranks reached
+    cols = np.empty((min(_COLUMN_CAP, 16) + 1, size, n))
+    np.multiply(s, r_tau, out=cols[0])
+    column = r_tau  # spent: it holds each new column
+    rows = np.arange(size)
+    rank = np.zeros(size, dtype=int)
+    active = count > 0
+    dense = []
+    k = 0
+    while active.any():
+        p = residual.argmax(axis=1)
+        pivot = residual[rows, p]
+        active &= pivot > stop  # NaN stops too
+        if k == _COLUMN_CAP or not active.any():
+            dense = np.flatnonzero(active).tolist()
             break
-        if rank == _COLUMN_CAP:
-            return None
-        _kernel_column(model.kernel, points[:, 0], p, column)
+        if k + 1 == len(cols):
+            cols = np.concatenate([cols, np.empty_like(cols)])
+        _kernel_column(model.kernel, t, t[rows, p][:, None], column)
         if model.constant_std != 1.0:
-            column *= sig * sig[p]
-        column -= cols[:rank + 1, p] @ cols[:rank + 1]
-        rank += 1
-        np.divide(column, math.sqrt(pivot), out=cols[rank])
-        residual -= np.square(cols[rank], out=column)
-        residual[p] = 0.0
-    if not np.isfinite(cols[:rank + 1]).all():
-        raise ModelEvaluationError("correlation function returned a non-finite value")
-    low, tol = residual.min(), _INDEFINITE_TOL * trace / n
-    if low < -tol:
-        raise SingularModelError(_low_residual_message(n, low, rank, tol))
-    factor = cols[1:rank + 1].T
-    factor[pinned] = 0.0
-    return mean, factor
+            column *= s * s[rows, p][:, None]
+        # row i: column_i -= cols[:k + 1, i, p_i] @ cols[:k + 1, i], one stacked matmul
+        taken = cols[:k + 1].transpose(1, 0, 2)
+        column -= np.matmul(taken[rows, None, :, p], taken)[:, 0]
+        k += 1
+        np.divide(column, np.sqrt(np.where(active, pivot, 1.0))[:, None], out=cols[k])
+        cols[k, ~active] = 0.0  # a row that has stopped takes a zero column
+        residual -= np.square(cols[k], out=column)
+        residual[rows[active], p[active]] = 0.0
+        rank += active
+    finite = np.isfinite(cols[:k + 1]).all(axis=(0, 2))
+    low = np.where(valid, residual, np.inf).min(axis=1, initial=np.inf)
+    tol = _INDEFINITE_TOL * trace / np.maximum(count, 1)
+    failed = ~finite | (low < -tol)
+    failed[dense] = False
+    for i in np.flatnonzero(failed):
+        errors[int(i)] = (SingularModelError(_low_residual_message(count[i], low[i], rank[i],
+                                                                   tol[i]))
+                          if finite[i] else
+                          ModelEvaluationError("correlation function returned a non-finite value"))
+    dropped = list(errors) + dense
+    rank[dropped] = 0
+    live[dropped] = False
+    factor = cols[1:k + 1].transpose(1, 0, 2)
+    np.copyto(factor, 0.0, where=pinned[:, None, :])
+    return mean, factor, rank, live, errors, dense
 
 
 # ---------------------------------------------------------------------------
@@ -864,20 +923,6 @@ def _is_markov(model: FieldModel) -> bool:
     kernel = model.kernel
     return (model.dimension == 1 and type(kernel) in (PowerExponential, Exponential)
             and kernel.shape == 1.0)
-
-
-def _moments_by_row(model: FieldModel, points: np.ndarray, live: np.ndarray, errors: dict):
-    """mu and sigma at the points ``live`` (B, m) of ``points``, row-major; a
-    row where either fails goes into ``errors`` and leaves ``live``."""
-    try:
-        return model.mean_at(points[live]), model.std_at(points[live])
-    except ModelEvaluationError:
-        for i in np.flatnonzero(live.any(axis=1)):
-            try:
-                model.mean_at(points[i, live[i]]), model.std_at(points[i, live[i]])
-            except ModelEvaluationError as exc:
-                errors[int(i)], live[i] = exc, False
-    return model.mean_at(points[live]), model.std_at(points[live])
 
 
 def _markov_draw(model: FieldModel, taus: np.ndarray, values_at_tau: np.ndarray,
@@ -902,11 +947,7 @@ def _markov_draw(model: FieldModel, taus: np.ndarray, values_at_tau: np.ndarray,
     """
     size, m = inside.shape
     t, t0 = points[..., 0], taus[:, 0]
-    errors = {int(i): ModelEvaluationError("correlation function returned a non-finite value")
-              for i in np.flatnonzero((inside & ~np.isfinite(t)).any(axis=1))}
-    live = inside.copy()
-    live[list(errors)] = False
-    mean, sig = _moments_by_row(model, points, live, errors)
+    live, mean, sig, errors = _live_moments(model, points, inside)
     x_tau = (values_at_tau - model.mean_at(taus)) / model.std_at(taus)
     # each row's live points sorted: the first `left` lie left of tau; the
     # walk right of tau comes first, then the walk left of it
@@ -947,36 +988,45 @@ def _conditional_draw_inside(model: FieldModel, taus: np.ndarray, values_at_tau:
     exact since their law is the marginal of the law at all m points: returns
     (values (B, m), rank (B,), errors) as :func:`_conditional_draw_block`
     does, NaN outside ``inside``.  A model for which :func:`_is_markov` holds
-    draws the block as one chain (:func:`_markov_draw`).  Any other draws row
-    by row: from kernel columns (:func:`_column_factor`) when
-    :func:`_has_low_rank_columns` holds and the covariance stays under the
-    column cap, else as a block of one (:func:`_conditional_draw_block`).  On
-    either route a failure, a non-finite mean or std included, drops the row
-    before it draws a normal.  A row with no inside point draws nothing and
-    has rank 0.
+    draws the block as one chain (:func:`_markov_draw`); one for which
+    :func:`_has_low_rank_columns` holds factors the block from kernel columns
+    in one pass (:func:`_column_factor`) and draws it as mean + z F^T.  Every
+    other row, and a row past the column cap, is drawn as a block of one
+    (:func:`_conditional_draw_block`).  The normals are taken in row order,
+    as one draw per row would take them.  On every route a failure, a
+    non-finite mean or std included, drops the row before it draws a
+    normal.  A row with no inside point draws nothing and has rank 0.
     """
     if _is_markov(model):
         return _markov_draw(model, taus, values_at_tau, points, inside, rng)
-    columns = _has_low_rank_columns(model)
+    size = len(taus)
     values = np.full(inside.shape, np.nan)
-    rank, errors = np.zeros(len(taus), dtype=int), {}
-    for i in np.flatnonzero(inside.any(axis=1)):
+    if _has_low_rank_columns(model):
+        mean, factor, rank, live, errors, dense = _column_factor(model, taus, values_at_tau,
+                                                                 points, inside)
+    else:
+        mean, factor, live = np.empty((size, 0)), np.empty((size, 0, 0)), np.zeros_like(inside)
+        rank, errors, dense = np.zeros(size, dtype=int), {}, np.flatnonzero(inside.any(axis=1))
+    normals = np.zeros(factor.shape[:2])
+    take = np.arange(factor.shape[1]) < rank[:, None]
+    start = 0
+    for i in [*dense, size]:
+        # the kernel-column rows before row i, then row i on the dense route
+        normals[start:i][take[start:i]] = rng.standard_normal(int(rank[start:i].sum()))
+        start = i + 1
+        if i == size:
+            break
         row, at = slice(i, i + 1), inside[i]
         try:
-            moments = (_column_factor(model, taus[i], float(values_at_tau[i]), points[i, at])
-                       if columns else None)
-            if moments is None:
-                drawn, rank[row], failed = _conditional_draw_block(
-                    model, taus[row], values_at_tau[row], points[row][:, at], rng)
-            else:
-                mean, factor = moments
-                rank[i], failed = factor.shape[1], {}
-                drawn = mean + factor @ rng.standard_normal(rank[i])
+            drawn, rank[row], failed = _conditional_draw_block(
+                model, taus[row], values_at_tau[row], points[row][:, at], rng)
         except (ModelEvaluationError, SingularModelError) as exc:
             errors[int(i)] = exc
             continue
         values[i, at] = drawn
         errors.update((int(i), exc) for exc in failed.values())
+    draws = mean + np.matmul(normals[:, None, :], factor)[:, 0]
+    values[live] = draws[np.arange(draws.shape[1]) < np.count_nonzero(live, axis=1)[:, None]]
     return values, rank, errors
 
 

@@ -133,6 +133,31 @@ class TestConfig:
         assert a.digest != c.digest
         assert len(a.digest) == 12
 
+    def test_target_order_does_not_change_the_digest(self):
+        base = {"kernel": "sqexp", "domain": "0,1"}
+        given = build_config(base, {"targets": "excursion_integral,sup_tail"})
+        ordered = build_config(base, {"targets": "sup_tail,excursion_integral"})
+        assert given.targets == ordered.targets == TARGETS
+        assert given.digest == ordered.digest
+        assert given.digest != build_config(base, {"targets": "sup_tail"}).digest
+
+    @pytest.mark.parametrize("text, timing", [
+        ("1", True), ("true", True), ("Yes", True), ("ON", True),
+        ("0", False), ("false", False), ("No", False), ("off", False)])
+    def test_timing_reads_a_switch(self, tmp_path, text, timing):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"experiment = table1\ntiming = {text}\n")
+        assert table_config(str(path), {}).timing is timing
+
+    @pytest.mark.parametrize("text", ["ture", "", "2", "enabled"])
+    def test_timing_typo_exits_2(self, capsys, tmp_path, text):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"experiment = table1\nn = 50\nm = 10\nb = 3\ntiming = {text}\n")
+        code = main(["table", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: invalid value for timing: {text!r}\n"
+
 
 class TestTableCommand:
     def test_table1_small_run(self, capsys, tmp_path):
@@ -268,8 +293,9 @@ class TestEstimateCommand:
 
     def test_worker_count_does_not_change_bytes_at_inside_only_draws(self, capsys):
         # at m >= 256 blocks of 16 draw the field at the inside points only,
-        # row by row (sqexp: the per-thread buffers serve a different n from
-        # draw to draw) or as one chain (exponential); n = 40 is three blocks
+        # from one kernel-column factorization (sqexp; its width, the largest
+        # inside count, changes from block to block) or as one chain
+        # (exponential); n = 40 is three blocks
         assert block_size(256) == 16
         for kernel in ("sqexp", "exponential"):
             base = ["estimate", "--kernel", kernel, "--domain", "0,1", "--b", "6",

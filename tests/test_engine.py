@@ -420,19 +420,19 @@ class TestBlocks:
         assert report.errored == 1 and report.n == n - 1
 
     @pytest.mark.parametrize("kernel, m, expected, route", [
-        pytest.param(ex.SquaredExponential(), 256, 5, "columns", id="256-5"),
+        pytest.param(ex.SquaredExponential(), 256, 1, "columns", id="256-5"),
         pytest.param(ex.Exponential(), 256, 1, "chain", id="exponential-256-5"),
         pytest.param(ex.PowerExponential(1.5), 256, 5, "dense", id="powerexp1.5-256-5"),
         pytest.param(ex.SquaredExponential(), 40, 5, "dense", id="40-0")])
     def test_only_blocks_of_one_call_the_single_draw_routines(self, monkeypatch, kernel, m,
                                                               expected, route):
         # every block takes the block routines: the five single-draw names
-        # see no call.  The n = 5 replicates are one block.  At m >= 256 each
-        # replicate enters its per-row field route once, the kernel-column
-        # factor (1-d shape-2 kernels) or one LAPACK factorization of its
-        # assembled covariance (any other model), and the chain (1-d
-        # exponential) is entered once for the whole block.  At m = 40 the
-        # block factors each of its five assembled covariances
+        # see no call.  The n = 5 replicates are one block.  At m >= 256 the
+        # kernel-column factor (1-d shape-2 kernels) and the chain (1-d
+        # exponential) are entered once for the whole block, and any other
+        # model takes one LAPACK factorization of each replicate's assembled
+        # covariance.  At m = 40 the block factors each of its five
+        # assembled covariances
         single = [(engine, name) for name in ("sample_design_points", "mes_hat", "alpha_hat")]
         single += [(field, name) for name in ("conditional_moments", "factor_psd")]
         routes = {"dense": (field, "_lapack_factor"), "columns": (field, "_column_factor"),
@@ -524,15 +524,19 @@ class TestInsideOnlyDraws:
             assert np.isnan(block.field_values[0, ~inside]).all()
             assert np.isfinite(block.field_values[0, inside]).all()
             # the draw comes from the kernel-column factor of the inside points
-            mean, factor = field._column_factor(s["model"], tau, value, draw.points[inside])
-            assert block.rank[0] == factor.shape[1] < np.count_nonzero(inside)
-            expected = mean + factor @ rng.standard_normal(factor.shape[1])
-            assert np.array_equal(block.field_values[0, inside], expected)
+            mean, factor, rank, live, errors, dense = field._column_factor(
+                s["model"], tau[None], np.array([value]), draw.points[None], inside[None])
+            assert errors == {} and dense == [] and np.array_equal(live[0], inside)
+            assert block.rank[0] == rank[0] == factor.shape[1] < np.count_nonzero(inside)
+            normals = rng.standard_normal(rank[0])
+            expected = mean + np.matmul(normals[None, None, :], factor)[:, 0]
+            assert np.array_equal(block.field_values[0, inside], expected[0])
             assert rng.bit_generator.state == block_rng.bit_generator.state
             # whose law is the conditional law of the inside points alone
             dense_mean, cov, _ = ex.conditional_moments(s["model"], tau, value,
                                                         draw.points[inside])
-            assert np.allclose(mean, dense_mean, rtol=0.0, atol=1e-12)
+            factor = factor[0].T
+            assert np.allclose(mean[0], dense_mean, rtol=0.0, atol=1e-12)
             assert np.allclose(factor @ factor.T, cov, rtol=0.0, atol=1e-12)
 
     def test_exponential_draws_the_chain_of_the_inside_points(self):

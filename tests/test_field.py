@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -514,8 +515,31 @@ def _inside_draws(count: int):
     return draws
 
 
+def _as_block(draws, spread=None):
+    """(taus, values_at_tau, points (B, m, 1), inside (B, m)) of a block whose
+    row i holds the inside points of ``draws[i]`` in order, at m = largest
+    count + 12 slots; the other slots hold points outside T, at positions
+    from ``spread`` (a Generator) or after the inside points."""
+    m = max(len(points) for _, _, points in draws) + 12
+    taus = np.array([[tau[0]] for tau, _, _ in draws])
+    values_at_tau = np.array([value for _, value, _ in draws])
+    points = np.full((len(draws), m, 1), 1.5)
+    inside = np.zeros((len(draws), m), dtype=bool)
+    for i, (_, _, at) in enumerate(draws):
+        slots = (np.sort(spread.choice(m, len(at), replace=False)) if spread is not None
+                 else np.arange(len(at)))
+        inside[i, slots] = True
+        points[i, slots] = at
+    return taus, values_at_tau, points, inside
+
+
+def _row_factor(factor, rank, inside, i):
+    """F_i (n_i, rank_i) of row i of a :func:`field._column_factor` block."""
+    return factor[i, :rank[i], :np.count_nonzero(inside[i])].T
+
+
 class TestColumnFactor:
-    # kernel columns draw the field of 1-d shape-2 kernels at blocks of one
+    # kernel columns draw the field of 1-d shape-2 kernels, a block at a time
 
     @pytest.mark.parametrize("kernel, d, qualifies", [
         (ex.SquaredExponential(), 1, True),
@@ -539,27 +563,32 @@ class TestColumnFactor:
     def test_factor_reproduces_the_conditional_moments(self, kernel, std):
         model = ex.FieldModel(ex.BoxDomain([0.0], [1.0]), kernel, std=std,
                               mean=ex.LinearMean([0.1]))
-        for tau, value, points in _inside_draws(4):
-            mean, cov, _ = ex.conditional_moments(model, tau, value, points)
-            c_mean, factor = field._column_factor(model, tau, value, points)
-            dense = ex.factor_psd(cov)
-            assert factor.shape == (points.shape[0], factor.shape[1])
-            assert abs(factor.shape[1] - dense.shape[1]) <= 1
-            assert np.allclose(c_mean, mean, rtol=0.0, atol=1e-12)
-            assert np.max(np.abs(factor @ factor.T - cov)) <= 1e-12
+        draws = _inside_draws(4)
+        block = _as_block(draws, spread=np.random.default_rng(69))
+        mean, factor, rank, live, errors, dense = field._column_factor(model, *block)
+        assert errors == {} and dense == [] and np.array_equal(live, block[3])
+        assert not factor[np.arange(factor.shape[1]) >= rank[:, None]].any()
+        for i, (tau, value, points) in enumerate(draws):
+            c_mean, c_factor = mean[i, :len(points)], _row_factor(factor, rank, live, i)
+            d_mean, cov, _ = ex.conditional_moments(model, tau, value, points)
+            assert abs(rank[i] - ex.factor_psd(cov).shape[1]) <= 1
+            assert np.allclose(c_mean, d_mean, rtol=0.0, atol=1e-12)
+            assert np.max(np.abs(c_factor @ c_factor.T - cov)) <= 1e-12
+            assert (mean[i, len(points):] == value).all()  # padding holds tau
 
     def test_pinned_points_reproduce_the_value(self):
         model = ex.FieldModel(ex.BoxDomain([0.0], [1.0]), ex.SquaredExponential(), std=1.5)
         tau, value, points = _inside_draws(1)[0]
         points = points.copy()
         points[[3, 100]] = tau
-        mean, factor = field._column_factor(model, tau, value, points)
-        assert mean[3] == mean[100] == value
-        assert not factor[[3, 100]].any()
-        values, rank, errors = field._conditional_draw_inside(
-            model, tau[None], np.array([value]), points[None],
-            np.ones((1, points.shape[0]), dtype=bool), np.random.default_rng(2))
-        assert errors == {} and rank[0] == factor.shape[1]
+        block = _as_block([(tau, value, points)])
+        mean, factor, rank, _, errors, _ = field._column_factor(model, *block)
+        assert errors == {} and rank[0] == factor.shape[1] > 0
+        assert mean[0, 3] == mean[0, 100] == value
+        assert not factor[0][:, [3, 100]].any()
+        values, draw_rank, errors = field._conditional_draw_inside(
+            model, *block, np.random.default_rng(2))
+        assert errors == {} and draw_rank[0] == rank[0]
         assert values[0, 3] == values[0, 100] == value
 
     def test_non_finite_kernel_column_drops_the_draw(self):
@@ -581,10 +610,104 @@ class TestColumnFactor:
         model = ex.FieldModel(ex.BoxDomain([0.0], [1.0]), ex.SquaredExponential())
         tau, value, points = _inside_draws(1)[0]
         monkeypatch.setattr(field, "_INDEFINITE_TOL", -1.0)
-        with pytest.raises(SingularModelError,
-                           match=rf"^covariance of size n={points.shape[0]} is indefinite: "
-                                 r"residual diagonal .* after rank \d+ is below "):
-            field._column_factor(model, tau, value, points)
+        _, _, rank, live, errors, _ = field._column_factor(model, *_as_block([(tau, value,
+                                                                                points)]))
+        assert list(errors) == [0] and isinstance(errors[0], SingularModelError)
+        assert rank.tolist() == [0] and not live.any()
+        assert re.match(rf"^covariance of size n={points.shape[0]} is indefinite: "
+                        r"residual diagonal .* after rank \d+ is below ", str(errors[0]))
+
+
+class TestColumnBlock:
+    # one block of the kernel-column route mixes every kind of row:
+    #   0: the largest draw, 1: no inside point, 2: one inside point,
+    #   3: two points bit-equal to tau, 4: a NaN point, 5: another draw
+    model = ex.FieldModel(ex.BoxDomain([0.0], [1.0]), ex.SquaredExponential(), std=1.5)
+
+    @staticmethod
+    def _mixed():
+        draws = sorted(_inside_draws(5), key=lambda draw: -len(draw[2]))
+        full, pinned, bad, other = draws[0], draws[1], draws[2], draws[3]
+        pinned_points, bad_points = pinned[2].copy(), bad[2].copy()
+        pinned_points[[7, 40]] = pinned[0]
+        bad_points[11] = np.nan
+        rows = [full, (draws[4][0], draws[4][1], draws[4][2][:0]),
+                (draws[4][0], draws[4][1], draws[4][2][:1]),
+                (pinned[0], pinned[1], pinned_points), (bad[0], bad[1], bad_points), other]
+        return rows, _as_block(rows, spread=np.random.default_rng(72))
+
+    def test_rows_draw_as_the_block_without_the_dropped_row(self):
+        rows, (taus, values_at_tau, points, inside) = self._mixed()
+        assert [len(at) for _, _, at in rows][:3] == [max(len(at) for _, _, at in rows), 0, 1]
+        assert len(rows[0][2]) >= 280
+        mean, factor, rank, live, errors, dense = field._column_factor(
+            self.model, taus, values_at_tau, points, inside)
+        assert list(errors) == [4] and isinstance(errors[4], ModelEvaluationError)
+        assert dense == [] and rank[1] == rank[4] == 0 and rank[2] == 1
+        assert not live[[1, 4]].any()
+        for i in (0, 2, 3, 5):
+            tau, value, at = rows[i]
+            d_mean, cov, _ = ex.conditional_moments(self.model, tau, value, at)
+            row_factor = _row_factor(factor, rank, live, i)
+            assert np.allclose(mean[i, :len(at)], d_mean, rtol=0.0, atol=1e-12)
+            assert np.max(np.abs(row_factor @ row_factor.T - cov)) <= 1e-12
+        assert mean[3, 7] == mean[3, 40] == values_at_tau[3]
+        assert not factor[3][:, [7, 40]].any()
+
+        rng = np.random.default_rng(73)
+        values, draw_rank, draw_errors = field._conditional_draw_inside(
+            self.model, taus, values_at_tau, points, inside, rng)
+        assert list(draw_errors) == [4] and draw_rank.tolist() == rank.tolist()
+        assert np.isnan(values[[1, 4]]).all() and np.isfinite(values[inside & live]).all()
+        assert (values[3][inside[3]][[7, 40]] == values_at_tau[3]).all()
+        # the other rows draw as if row 4 were not there, and take the same normals
+        keep = np.arange(len(rows)) != 4
+        expected_rng = np.random.default_rng(73)
+        expected, expected_rank, expected_errors = field._conditional_draw_inside(
+            self.model, taus[keep], values_at_tau[keep], points[keep], inside[keep],
+            expected_rng)
+        assert expected_errors == {} and expected_rank.tolist() == rank[keep].tolist()
+        assert np.array_equal(values[keep], expected, equal_nan=True)
+        assert rng.bit_generator.state == expected_rng.bit_generator.state
+
+    def test_a_row_past_the_cap_draws_dense_at_its_place_in_the_stream(self, monkeypatch):
+        rows, (taus, values_at_tau, points, inside) = self._mixed()
+        monkeypatch.setattr(field, "_COLUMN_CAP", 4)
+        mean, factor, rank, live, errors, dense = field._column_factor(
+            self.model, taus, values_at_tau, points, inside)
+        assert dense == [0, 3, 5] and list(errors) == [4] and rank[2] == 1
+        rng = np.random.default_rng(74)
+        values, draw_rank, _ = field._conditional_draw_inside(
+            self.model, taus, values_at_tau, points, inside, rng)
+        # replay: the column rows take their normals in row order, and each
+        # dense row draws as a block of one where it stands
+        replay = np.random.default_rng(74)
+        normals = np.zeros(factor.shape[:2])
+        for i in range(len(rows)):
+            if i in dense:
+                row, at = slice(i, i + 1), inside[i]
+                drawn, dense_rank, failed = field._conditional_draw_block(
+                    self.model, taus[row], values_at_tau[row], points[row][:, at], replay)
+                assert failed == {} and draw_rank[i] == dense_rank[0] > 4
+                assert np.array_equal(values[i, at], drawn[0])
+            else:
+                normals[i, :rank[i]] = replay.standard_normal(rank[i])
+        draws = mean + np.matmul(normals[:, None, :], factor)[:, 0]
+        assert np.array_equal(values[2, inside[2]], draws[2, :1])
+        assert rng.bit_generator.state == replay.bit_generator.state
+
+    def test_a_low_residual_drops_each_row_with_its_own_message(self, monkeypatch):
+        rows, block = self._mixed()
+        monkeypatch.setattr(field, "_INDEFINITE_TOL", -1.0)
+        rng = np.random.default_rng(75)
+        values, rank, errors = field._conditional_draw_inside(self.model, *block, rng)
+        assert sorted(errors) == [0, 2, 3, 4, 5] and not rank.any() and np.isnan(values).all()
+        assert isinstance(errors[4], ModelEvaluationError)
+        for i in (0, 2, 3, 5):
+            assert isinstance(errors[i], SingularModelError)
+            assert str(errors[i]).startswith(f"covariance of size n={len(rows[i][2])} is "
+                                             f"indefinite: residual diagonal ")
+        assert rng.bit_generator.state == np.random.default_rng(75).bit_generator.state
 
 
 class _Normals:
@@ -759,7 +882,8 @@ class TestMarkovDraw:
 
 class TestInsideDraws:
     # at m >= 256 a block draws each row at its inside points alone: the
-    # chain draws the whole block, the other routes go row by row
+    # chain and the kernel columns take the whole block, the dense route
+    # goes row by row
 
     @pytest.mark.parametrize("kernel", [
         pytest.param(ex.Exponential(0.3), id="chain"),

@@ -3,8 +3,8 @@
 A :class:`FieldModel` bundles a box domain, mean and standard-deviation
 functions, a correlation kernel, and the local regularity parameters of the
 kernel.  All sampling is exact at finite point sets.  A covariance is
-factored once, by Cholesky when it is positive definite and otherwise by a
-pivoted Cholesky that returns its numerical rank.  A conditional draw of a
+factored once, by a pivoted Cholesky that returns its numerical rank,
+whether it is positive definite or not.  A conditional draw of a
 1-d model at the inside points forms no covariance when its kernel is built
 in: a shape-2 kernel runs that pivoted Cholesky on kernel columns for all
 replicates of a block in one loop, and the exponential kernel, which is
@@ -20,7 +20,7 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dlamch, dpotrf, dpstrf, dtbtrs
+from scipy.linalg.lapack import dlamch, dpstrf, dtbtrs
 from scipy.special import log_ndtr, ndtr
 
 from .errors import ModelEvaluationError, SingularModelError
@@ -462,39 +462,36 @@ def _probe(n: int) -> np.ndarray:
 
 def _lapack_factor(matrix: np.ndarray, lower: np.ndarray):
     """Copy ``matrix`` into ``lower.T`` and factor ``lower`` (Fortran-ordered)
-    in place: ``dpotrf``, else ``dpstrf``.  LAPACK reads the upper triangle of
-    ``matrix`` and leaves the other one as it was.  Returns (factored array,
-    0-based pivots or None after a Cholesky, rank)."""
-    np.copyto(lower.T, matrix)
-    factored, info = dpotrf(lower, lower=1, clean=0, overwrite_a=1)
-    if info == 0:
-        return factored, None, matrix.shape[0]
+    in place with LAPACK's pivoted Cholesky ``dpstrf``, which reads the upper
+    triangle of ``matrix``, leaves the other one as it was and stops at the
+    numerical rank (its default tolerance n * eps * max diagonal).  Returns
+    (factored array, 0-based pivots, rank)."""
     np.copyto(lower.T, matrix)
     factored, piv, rank, _ = dpstrf(lower, lower=1, overwrite_a=1)
     return factored, piv - 1, rank
 
 
 def factor_psd(matrix) -> np.ndarray:
-    """Factor F of shape (n, r) with F @ F.T = matrix.
+    """Factor F of shape (n, r) with F @ F.T = matrix, r the numerical rank.
 
-    A positive definite matrix gets its lower Cholesky factor (r = n).  When
-    that fails, LAPACK's pivoted Cholesky stops at the numerical rank r (its
-    default tolerance n * eps * max diagonal), and the rows of its factor are
-    put back in the original order.  Rows whose covariance is exactly zero
-    are never pivoted, so their factor rows are exactly zero.
+    One LAPACK pivoted Cholesky (:func:`_lapack_factor`) stops at the rank,
+    and the rows of its lower factor are put back in the original order.  So
+    even a positive definite matrix (r = n) gets a factor that is not
+    triangular in the original order: its rows are those of the Cholesky
+    factor of the pivoted matrix.  Rows whose covariance is exactly zero are
+    never pivoted, so their factor rows are exactly zero.
 
     ``matrix`` is never modified: :func:`_lapack_factor` factors a
     Fortran-ordered copy.  The built-in kernels' covariances are exactly
-    symmetric, so either triangle gives the same bits.  The Cholesky factor's
-    strict upper triangle is set to +0.0 in one masked pass.
+    symmetric, so either triangle gives the same bits.
 
     :class:`SingularModelError` is raised when the matrix is indefinite
-    beyond rounding: after the pivoted factorization, a residual diagonal
-    below -1e-6 * trace/n, or a residual R = matrix - F F^T whose product
-    with a fixed pseudo-random vector v exceeds the bound that any positive
-    semidefinite R obeys, by more than 1e-6 * trace/n.  The product is a
-    probe, not a proof: an indefinite R that happens to map v inside the
-    bound (for instance R v = 0) still passes.
+    beyond rounding: a residual diagonal below -1e-6 * trace/n, or a
+    residual R = matrix - F F^T whose product with a fixed pseudo-random
+    vector v exceeds the bound that any positive semidefinite R obeys, by
+    more than 1e-6 * trace/n.  The product is a probe, not a proof: an
+    indefinite R that happens to map v inside the bound (for instance
+    R v = 0) still passes.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -503,9 +500,6 @@ def factor_psd(matrix) -> np.ndarray:
         raise ValueError("matrix must have finite entries")
     n = a.shape[0]
     factored, piv, rank = _lapack_factor(a, np.empty((n, n), order="F"))
-    if piv is None:
-        np.copyto(factored, 0.0, where=_strict_upper(n))
-        return factored
     lower = np.tril(factored[:, :rank])
     errors = _residual_errors(a[None], lower.T[None], piv[None], [rank])
     if errors:
@@ -699,39 +693,40 @@ def _conditional_draw_block(model: FieldModel, taus: np.ndarray, values_at_tau: 
 
     Every block size, one included, takes the same steps: assemble all
     covariances with :func:`_assemble` in the thread's buffer pair, factor
-    each with :func:`_lapack_factor` (as :func:`factor_psd` does), test every
-    pivoted factor for indefiniteness in one batched evaluation, and draw
-    with the factors zero-padded to (m, m), allocating no (B, m, m) array.
+    each with one pivoted Cholesky, :func:`_lapack_factor` (as
+    :func:`factor_psd` does), test every factor that stopped short of rank m
+    for indefiniteness in one batched evaluation, and draw with the factors
+    zero-padded to (m, m), allocating no (B, m, m) array.  A full-rank factor
+    is not tested: every pivot was positive, so its residual is rounding.
     """
     size, m, d = points.shape
     assembly, work = _block_buffer_pair(size, m)
     mean, cov, _, errors = _assemble(model, taus, values_at_tau, points, assembly, work)
 
     # work[i].T is Fortran-ordered, so LAPACK factors it in place, reading
-    # the upper triangle of cov[i]; it then holds the lower factor L_i, and
-    # work[i] holds L_i^T.  The mask below zeroes what LAPACK left untouched.
-    rank = np.full(size, m)
+    # the upper triangle of cov[i]; it then holds the lower factor L_i of
+    # cov[i] in the pivot order order[i], and work[i] holds L_i^T.  The mask
+    # below zeroes what LAPACK left untouched.
+    rank = np.zeros(size, dtype=int)
     order = np.broadcast_to(np.arange(m), (size, m)).copy()  # row order of each factor
-    pivoted = []
+    deficient = []
     for i in range(size):
         if i in errors:
-            rank[i] = 0
             continue
-        _, piv, rank[i] = _lapack_factor(cov[i], work[i].T)
-        if piv is not None:
-            order[i] = piv
-            pivoted.append(i)
+        _, order[i], rank[i] = _lapack_factor(cov[i], work[i].T)
+        if rank[i] < m:
+            deficient.append(i)
     # keep L_i's lower triangle and its first rank_i columns
     np.copyto(work.transpose(0, 2, 1), 0.0, where=_strict_upper(m))
     work[np.arange(m) >= rank[:, None]] = 0.0
-    if pivoted:
-        rows = pivoted if len(pivoted) < size else slice(None)  # a slice takes views
+    if deficient:
+        rows = deficient if len(deficient) < size else slice(None)  # a slice takes views
         # the factors' rows past the largest rank are zero: the probe skips them
-        failed = _residual_errors(cov[rows], work[rows, :rank[pivoted].max()], order[rows],
+        failed = _residual_errors(cov[rows], work[rows, :rank[deficient].max()], order[rows],
                                   rank[rows])
         for k, message in failed.items():
-            errors[pivoted[k]] = SingularModelError(message)
-            rank[pivoted[k]] = 0
+            errors[deficient[k]] = SingularModelError(message)
+            rank[deficient[k]] = 0
 
     normals = np.zeros((size, m))
     normals[np.arange(m) < rank[:, None]] = rng.standard_normal(int(rank.sum()))
@@ -794,20 +789,21 @@ def _live_moments(model: FieldModel, points: np.ndarray, inside: np.ndarray):
     and sigma there, row-major: a row with a non-finite point, mean or std
     goes into ``errors`` and keeps no live point.  Returns (live, mu, sigma,
     errors)."""
+    t = points[..., 0]  # gathers from this 1-d view are several times faster
     errors = {int(i): ModelEvaluationError("correlation function returned a non-finite value")
-              for i in np.flatnonzero((inside & ~np.isfinite(points[..., 0])).any(axis=1))}
+              for i in np.flatnonzero((inside & ~np.isfinite(t)).any(axis=1))}
     live = inside.copy()
     live[list(errors)] = False
     try:
-        at = points[live]
+        at = t[live]
         return live, model.mean_at(at), model.std_at(at), errors
     except ModelEvaluationError:
         for i in np.flatnonzero(live.any(axis=1)):
             try:
-                model.mean_at(points[i, live[i]]), model.std_at(points[i, live[i]])
+                model.mean_at(t[i, live[i]]), model.std_at(t[i, live[i]])
             except ModelEvaluationError as exc:
                 errors[int(i)], live[i] = exc, False
-    return live, model.mean_at(points[live]), model.std_at(points[live]), errors
+    return live, model.mean_at(t[live]), model.std_at(t[live]), errors
 
 
 def _column_factor(model: FieldModel, taus: np.ndarray, values_at_tau: np.ndarray,

@@ -223,14 +223,13 @@ class TestFactorPsd:
         lower = ex.factor_psd(np.zeros((3, 3)))
         assert not lower.any()
 
-    @pytest.mark.parametrize("full_rank", [True, False], ids=["dpotrf", "dpstrf"])
+    @pytest.mark.parametrize("full_rank", [True, False], ids=["full_rank", "low_rank"])
     def test_factor_is_bit_equal_for_any_memory_layout(self, full_rank, rng):
         n = 60
         if full_rank:
             b = rng.standard_normal((n, n))
             a = b @ b.T / n + np.eye(n)
             a = 0.5 * (a + a.T)
-            assert (a < 0.0).any()  # a factor scaled by a triangular mask would show -0.0
         else:
             model = ex.FieldModel(ex.BoxDomain([0.0], [1.0]), ex.SquaredExponential())
             _, a, _ = ex.conditional_moments(model, [0.4], 6.0,
@@ -245,8 +244,8 @@ class TestFactorPsd:
         for factor in factors[1:]:
             assert np.array_equal(factor, factors[0])
         if full_rank:
-            upper = factors[0][np.triu_indices(n, 1)]
-            assert np.all(upper == 0.0) and not np.signbit(upper).any()
+            assert factors[0].shape == (n, n)
+            assert np.max(np.abs(factors[0] @ factors[0].T - a)) <= 1e-12 * np.max(np.abs(a))
 
     def test_reconstruction_on_random_psd(self, rng):
         for n in (5, 40, 200):
@@ -423,8 +422,9 @@ class TestConditional:
         pytest.param(ex.SquaredExponential(), False, id="sqexp"),
         pytest.param(ex.Exponential(), True, id="exponential")])
     def test_steady_state_draw_allocates_no_square_matrix(self, kernel, full_rank):
-        # sqexp takes the dpstrf route, exponential the dpotrf one, each drawn
-        # as the engine draws a dense replicate at m >= 256: a block of one
+        # one pivoted Cholesky that stops at a low rank for sqexp and runs to
+        # full rank for exponential, each drawn as the engine draws a dense
+        # replicate at m >= 256: a block of one
         from excursim.field import _conditional_draw_block
 
         model = ex.FieldModel(ex.BoxDomain([0.0], [1.0]), kernel)
@@ -444,6 +444,54 @@ class TestConditional:
                 tracemalloc.stop()
             assert (rank[0] == n) == full_rank
             assert peak < 0.5 * 8 * m * m
+
+    def test_only_rows_short_of_full_rank_are_probed(self, monkeypatch):
+        # row 0 has an exponential covariance (full rank), row 1 a sqexp one
+        # (low rank): a kernel called pair by pair picks one from the points
+        from excursim.field import _conditional_draw_block
+
+        class SplitKernel:
+            def __call__(self, a, b, out=None):
+                kernel = ex.Exponential() if a[0, 0] < 1.5 else ex.SquaredExponential()
+                return kernel(a, b, out=out)
+
+        model = ex.FieldModel(ex.BoxDomain([0.0], [3.0]), SplitKernel())
+        m = 30
+        setup = np.random.default_rng(4)
+        taus = np.array([[0.4], [2.4]])
+        points = taus[:, None, :] + setup.standard_t(3, (2, m, 1)) / 20.0
+        values_at_tau = np.array([4.0, 5.0])
+
+        def draw(rows, rng):
+            return _conditional_draw_block(model, taus[rows], values_at_tau[rows], points[rows],
+                                           rng)
+
+        seen = []
+        probe = field._residual_errors
+
+        def counting(a, lt, piv, ranks):
+            seen.append((a.copy(), list(ranks)))
+            return probe(a, lt, piv, ranks)
+
+        monkeypatch.setattr(field, "_residual_errors", counting)
+        rng = np.random.default_rng(9)
+        values, rank, errors = draw(slice(None), rng)
+        assert errors == {} and rank[0] == m and rank[1] < m
+        assert len(seen) == 1 and seen[0][1] == [rank[1]]
+        _, cov, _ = ex.conditional_moments(model, taus[1], values_at_tau[1], points[1])
+        assert np.array_equal(seen[0][0], cov[None])
+
+        # under a negative tolerance every probed row drops: only the low-rank one
+        monkeypatch.setattr(field, "_INDEFINITE_TOL", -1.0)
+        rng = np.random.default_rng(9)
+        values, rank, errors = draw(slice(None), rng)
+        assert list(errors) == [1] and isinstance(errors[1], SingularModelError)
+        assert rank.tolist() == [m, 0] and np.isnan(values[1]).all()
+        single = np.random.default_rng(9)
+        alone, alone_rank, _ = draw(slice(0, 1), single)
+        assert alone_rank.tolist() == [m]
+        assert np.array_equal(values[0], alone[0])
+        assert rng.bit_generator.state == single.bit_generator.state
 
     def test_buffer_pair_serves_a_smaller_n_from_the_same_memory(self):
         from excursim.field import _block_buffer_pair

@@ -38,17 +38,9 @@ from .engine import (
     estimate_tail_and_excursion,
 )
 from .errors import ConfigurationError, ExcursimError, InvalidLevelError
-from .field import (
-    BoxDomain,
-    CosineProcess,
-    Exponential,
-    FieldModel,
-    LinearMean,
-    PowerExponential,
-    SquaredExponential,
-)
+from .field import FieldModel
 from .oracles import cosine_truth, expected_excursion_measure
-from .presets import PRESETS, preset_model
+from .presets import PRESETS, model_from_text, preset_model
 
 __all__ = ["ExperimentConfig", "run_table", "run_pickands", "main"]
 
@@ -179,8 +171,8 @@ def build_config(base: dict, overrides: dict) -> ExperimentConfig:
     """The config of ``base`` (a preset or a config file's values) with
     ``overrides`` (the flags given) on top; text values go through ``_KEYS``.
 
-    A preset's ``model`` builder and ``oracle`` name are not configuration:
-    ``config_model`` rebuilds the model and ``_true_value`` looks up the
+    A preset's ``model`` text and ``oracle`` name are not configuration:
+    ``config_model`` builds the model and ``_true_value`` looks up the
     oracle, both by the experiment's name.
     """
     merged = {key: _parse(key, value) for key, value in {**base, **overrides}.items()
@@ -218,99 +210,12 @@ def table_config(source: str, overrides: dict) -> ExperimentConfig:
         f"{source!r} is neither a preset ({', '.join(sorted(PRESETS))}) nor a config file")
 
 
-# ---------------------------------------------------------------------------
-# Model construction from specs
-# ---------------------------------------------------------------------------
-
-def _parse_kv(text: str) -> dict:
-    out = {}
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if "=" not in part:
-            raise ConfigurationError(f"expected name=value in kernel spec, got {part!r}")
-        key, _, value = part.partition("=")
-        try:
-            out[key.strip()] = float(value)
-        except ValueError as exc:
-            raise ConfigurationError(f"invalid kernel parameter {part!r}") from exc
-    return out
-
-
-def parse_kernel(spec: str):
-    """Kernel from ``name[:key=value,...]``; every parameter must be used."""
-    name, _, params = spec.partition(":")
-    name = name.strip().lower()
-    kv = _parse_kv(params) if params else {}
-    try:
-        if name == "cosine":
-            kernel = CosineProcess()
-        elif name == "sqexp":
-            kernel = SquaredExponential(kv.pop("ell", 1.0))
-        elif name == "exponential":
-            kernel = Exponential(kv.pop("ell", 1.0))
-        elif name == "powerexp":
-            kernel = PowerExponential(kv.pop("alpha"), kv.pop("ell", 1.0))
-        else:
-            raise ConfigurationError(
-                f"unknown kernel {name!r} (cosine, sqexp, exponential, powerexp)")
-    except (KeyError, ValueError) as exc:
-        raise ConfigurationError(f"bad kernel spec {spec!r}: {exc}") from exc
-    if kv:
-        raise ConfigurationError(
-            f"bad kernel spec {spec!r}: {name} takes no {', '.join(sorted(kv))}")
-    return kernel
-
-
-def parse_domain(spec: str) -> BoxDomain:
-    lower, upper = [], []
-    for axis in spec.split(";"):
-        parts = [p for p in axis.split(",") if p.strip()]
-        if len(parts) != 2:
-            raise ConfigurationError(f"each domain axis needs 'lo,hi', got {axis!r}")
-        try:
-            lo, hi = float(parts[0]), float(parts[1])
-        except ValueError as exc:
-            raise ConfigurationError(f"bad domain spec {spec!r}") from exc
-        lower.append(lo)
-        upper.append(hi)
-    try:
-        return BoxDomain(lower, upper)
-    except ValueError as exc:
-        raise ConfigurationError(str(exc)) from exc
-
-
-def parse_mean(spec: str):
-    spec = spec.strip()
-    if spec.startswith("linear:"):
-        try:
-            coeffs = [float(p) for p in spec[len("linear:"):].split(",") if p.strip()]
-        except ValueError as exc:
-            raise ConfigurationError(f"bad mean spec {spec!r}") from exc
-        if not coeffs:
-            raise ConfigurationError("linear mean needs at least one coefficient")
-        return LinearMean(coeffs)
-    try:
-        return float(spec)
-    except ValueError as exc:
-        raise ConfigurationError(
-            f"mean must be a constant or 'linear:c1,c2,...', got {spec!r}") from exc
-
-
 def config_model(config: ExperimentConfig) -> FieldModel:
     if config.experiment is not None:
         return preset_model(config.experiment)
     if config.kernel is None or config.domain is None:
         raise ConfigurationError("custom runs need both kernel and domain")
-    domain, kernel = parse_domain(config.domain), parse_kernel(config.kernel)
-    mean = parse_mean(config.mean)
-    if isinstance(mean, LinearMean) and mean.coeffs.size != domain.dimension:
-        raise ConfigurationError(f"linear mean needs one coefficient per axis ({domain.dimension})")
-    try:
-        return FieldModel(domain, kernel, mean=mean)
-    except ValueError as exc:
-        raise ConfigurationError(str(exc)) from exc
+    return model_from_text(config.kernel, config.domain, config.mean)
 
 
 def config_density(config: ExperimentConfig, model: FieldModel) -> DesignDensity:

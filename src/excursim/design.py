@@ -122,8 +122,8 @@ class DesignDensity:
             scale = 1.0
         if dof < 3:
             raise ConfigurationError("need dof >= 3 for a usable heavy tail")
-        if scale <= 0.0:
-            raise ConfigurationError("scale must be positive")
+        if not (math.isfinite(scale) and scale > 0.0):
+            raise ConfigurationError("scale must be finite and positive")
         self.dim = int(dim)
         self.dof = float(dof)
         self.scale = float(scale)

@@ -228,8 +228,8 @@ class PowerExponential:
     def __init__(self, shape: float, ell: float = 1.0):
         if not 0.0 < shape <= 2.0:
             raise ValueError("shape must lie in (0, 2]")
-        if ell <= 0.0:
-            raise ValueError("ell must be positive")
+        if not (np.isfinite(ell) and ell > 0.0):
+            raise ValueError("ell must be finite and positive")
         self.shape = float(shape)
         self.ell = float(ell)
 
@@ -312,6 +312,8 @@ class LinearMean:
     def __init__(self, coeffs, intercept: float = 0.0):
         self.coeffs = np.atleast_1d(np.asarray(coeffs, dtype=float))
         self.intercept = float(intercept)
+        if not (np.isfinite(self.coeffs).all() and np.isfinite(self.intercept)):
+            raise ValueError("coeffs and intercept must be finite")
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         return self.intercept + points @ self.coeffs
@@ -362,8 +364,11 @@ class FieldModel:
         self._mean = mean
         self.constant_std = float(std) if np.isscalar(std) else None
         self._std = std
-        if self.constant_std is not None and self.constant_std <= 0.0:
-            raise ValueError("std must be strictly positive")
+        if self.constant_mean is not None and not np.isfinite(self.constant_mean):
+            raise ValueError("mean must be finite")
+        if self.constant_std is not None and not (np.isfinite(self.constant_std)
+                                                  and self.constant_std > 0.0):
+            raise ValueError("std must be finite and strictly positive")
 
         if regularity is None:
             regularity = getattr(kernel, "regularity", None)

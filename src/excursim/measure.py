@@ -281,6 +281,8 @@ def sample_truncated_tail(mu0, sigma0, gamma: float, rng, size: int) -> np.ndarr
         raise ValueError("sigma0 must be positive")
     c = np.empty(size)
     c[...] = (gamma - mu) / sigma
+    if not np.isfinite(c).all():
+        raise ValueError("the standardized threshold (gamma - mu0) / sigma0 must be finite")
     out = mu + sigma * _truncated_std_normal(rng, c)
     bad = np.flatnonzero(out <= gamma)
     while bad.size:

@@ -37,7 +37,7 @@ def _report(criterion: int, ok: bool, detail: str):
 @pytest.fixture(scope="session")
 def table1_runs():
     spec = ex.PRESETS["table1"]
-    model = spec["model"]()
+    model = ex.preset_model("table1")
     density = ex.DesignDensity(1, spec["dof"], spec["scale"])
     return {b: ex.estimate_tail(model, b, spec["n"], spec["m"], density=density,
                                 seed=(spec["seed"], idx))
@@ -49,7 +49,7 @@ def table_runs():
     out = {}
     for name in ("table2", "table3", "table4"):
         spec = ex.PRESETS[name]
-        model = spec["model"]()
+        model = ex.preset_model(name)
         density = ex.DesignDensity(2, spec["dof"], spec["scale"])
         rows = []
         for idx, b in enumerate(LEVELS):
@@ -103,7 +103,7 @@ def test_criterion_3_bounded_relative_error(table1_runs, table_runs):
 
 def test_criterion_4_constant_cost_per_replicate():
     spec = ex.PRESETS["table3"]
-    model = spec["model"]()
+    model = ex.preset_model("table3")
     density = ex.DesignDensity(2, spec["dof"], spec["scale"])
 
     levels = {b: (ex.measure_context(model, b), ex.cluster_scale(model, b)) for b in (3.0, 8.0)}

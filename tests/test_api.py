@@ -47,3 +47,15 @@ def test_import_loads_no_unused_scipy_subpackages():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_import_does_not_load_the_cli():
+    # the presets build their models from text without the command line
+    src = os.path.dirname(os.path.dirname(ex.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = ("import sys, excursim; excursim.preset_model('table4'); "
+            "print('excursim.cli' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -4,6 +4,7 @@ import io
 import pytest
 
 import excursim as ex
+from excursim import cli
 from excursim.cli import (
     ExperimentConfig,
     TABLE_COLUMNS,
@@ -11,13 +12,11 @@ from excursim.cli import (
     build_config,
     main,
     parse_config_file,
-    parse_domain,
-    parse_kernel,
-    parse_mean,
     table_config,
 )
 from excursim.engine import block_size
 from excursim.errors import ConfigurationError
+from excursim.presets import parse_domain, parse_kernel, parse_mean
 
 
 def run_cli(args, capsys):
@@ -222,6 +221,29 @@ class TestTableCommand:
         exc = next(r for r in parse_csv(from_file) if r["target"] == "excursion_integral")
         assert exc["true_value"] == "1.3498980316e-03"
 
+    @pytest.mark.parametrize("name", sorted(ex.PRESETS))
+    def test_config_file_with_a_preset_model_text_prints_its_rows(self, capsys, tmp_path,
+                                                                 name):
+        # the preset's model text and settings, without its experiment name:
+        # every column but the digest matches, and the true value too unless
+        # the preset names a sup-tail oracle (table1)
+        spec = ex.PRESETS[name]
+        keys = {**spec["model"], "dof": spec["dof"], "scale": spec["scale"], "m": spec["m"],
+                "seed": spec["seed"], "b": ",".join(f"{b:g}" for b in spec["b"]),
+                "targets": ",".join(spec["targets"])}
+        path = tmp_path / "run.cfg"
+        path.write_text("".join(f"{key} = {value}\n" for key, value in keys.items()))
+        code, from_file = run_cli(["table", str(path), "--n", "30"], capsys)
+        _, from_preset = run_cli(["table", name, "--n", "30"], capsys)
+        assert code == 0
+        skip = {"config_digest"} | ({"true_value"} if "oracle" in spec else set())
+        file_rows, preset_rows = parse_csv(from_file), parse_csv(from_preset)
+        assert len(file_rows) == len(spec["b"]) * len(spec["targets"])
+        for file_row, preset_row in zip(file_rows, preset_rows, strict=True):
+            assert {k: v for k, v in file_row.items() if k not in skip} == \
+                {k: v for k, v in preset_row.items() if k not in skip}
+            assert file_row["config_digest"] != preset_row["config_digest"]
+
     def test_gnuplot_format(self, capsys):
         code, out = run_cli(["table", "table1", "--n", "50", "--m", "10",
                              "--b", "3", "--format", "gnuplot"], capsys)
@@ -372,6 +394,32 @@ class TestRejectedInputs:
     ])
     def test_model_that_does_not_fit_the_domain(self, capsys, model_args, message):
         code = main(["estimate", *model_args, "--b", "3", "--n", "10", "--m", "10"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--mean", "nan", "mean must be finite"),
+        ("--mean", "inf", "mean must be finite"),
+        ("--kernel", "sqexp:ell=nan",
+         "bad kernel spec 'sqexp:ell=nan': ell must be finite and positive"),
+        ("--kernel", "sqexp:ell=inf",
+         "bad kernel spec 'sqexp:ell=inf': ell must be finite and positive"),
+        ("--scale", "nan", "scale must be finite and positive"),
+        ("--scale", "inf", "scale must be finite and positive"),
+        ("--mean", "linear:nan",
+         "bad mean spec 'linear:nan': coeffs and intercept must be finite"),
+    ], ids=["mean-nan", "mean-inf", "ell-nan", "ell-inf", "scale-nan", "scale-inf",
+            "linear-nan"])
+    def test_non_finite_input_exits_2_before_any_replicate(self, capsys, monkeypatch,
+                                                           flag, value, message):
+        def no_replicates(*args, **kwargs):
+            raise AssertionError("a replicate ran")
+
+        monkeypatch.setattr(cli, "estimate_tail", no_replicates)
+        args = {"--kernel": "sqexp", "--domain": "0,1", "--b": "4", "--n": "50",
+                "--m": "20", flag: value}
+        code = main(["estimate", *(word for pair in args.items() for word in pair)])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err == f"error: {message}\n"

@@ -68,6 +68,11 @@ class TestDesignDensity:
         with pytest.raises(ConfigurationError):
             ex.DesignDensity(1, dof=2)
 
+    @pytest.mark.parametrize("scale", [math.nan, math.inf, 0.0, -1.0])
+    def test_scale_must_be_finite_and_positive(self, scale):
+        with pytest.raises(ConfigurationError, match="scale must be finite and positive"):
+            ex.DesignDensity(2, 4, scale)
+
     def test_bounded_by_peak(self, rng):
         density = ex.DesignDensity(2, 4, 0.625)
         pts = rng.standard_normal((200, 2)) * 3.0

@@ -65,6 +65,35 @@ class TestRegularityParams:
         assert cos.alpha1 == 2.0 and cos.c1 == pytest.approx(0.5)
 
 
+class TestNonFiniteParameters:
+    @pytest.mark.parametrize("ell", [math.nan, math.inf, 0.0])
+    @pytest.mark.parametrize("kernel", [ex.SquaredExponential, ex.Exponential,
+                                        lambda ell: ex.PowerExponential(1.5, ell)],
+                             ids=["sqexp", "exponential", "powerexp"])
+    def test_kernel_length_must_be_finite_and_positive(self, kernel, ell):
+        with pytest.raises(ValueError, match="ell must be finite and positive"):
+            kernel(ell)
+
+    @pytest.mark.parametrize("coeffs, intercept", [([math.nan, 0.1], 0.0),
+                                                   ([0.1, -math.inf], 0.0),
+                                                   ([0.1, 0.1], math.nan)],
+                             ids=["coeff-nan", "coeff-inf", "intercept-nan"])
+    def test_linear_mean_must_be_finite(self, coeffs, intercept):
+        with pytest.raises(ValueError, match="coeffs and intercept must be finite"):
+            ex.LinearMean(coeffs, intercept)
+
+    @pytest.mark.parametrize("which, value, message", [
+        ("mean", math.nan, "mean must be finite"),
+        ("mean", -math.inf, "mean must be finite"),
+        ("std", math.nan, "std must be finite and strictly positive"),
+        ("std", math.inf, "std must be finite and strictly positive"),
+        ("std", 0.0, "std must be finite and strictly positive"),
+    ], ids=["mean-nan", "mean-inf", "std-nan", "std-inf", "std-zero"])
+    def test_constant_mean_and_std_must_be_finite(self, which, value, message):
+        with pytest.raises(ValueError, match=message):
+            ex.FieldModel(ex.BoxDomain([0.0], [1.0]), ex.SquaredExponential(), **{which: value})
+
+
 # ---------------------------------------------------------------------------
 # Covariance assembly
 # ---------------------------------------------------------------------------

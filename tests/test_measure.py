@@ -216,3 +216,10 @@ class TestTruncatedTail:
         value = ex.sample_truncated_tail(0.0, 1.0, 5.0, rng, size=1)
         assert value.shape == (1,) and value[0] > 5.0
 
+    @pytest.mark.parametrize("mu0, sigma0, gamma", [
+        (math.nan, 1.0, 3.0), (0.0, math.nan, 3.0), (0.0, 1.0, math.nan),
+        (-math.inf, 1.0, 3.0), (0.0, 1.0, math.inf), (np.array([0.0, math.nan]), 1.0, 3.0)])
+    def test_non_finite_threshold_raises_instead_of_looping(self, rng, mu0, sigma0, gamma):
+        with pytest.raises(ValueError, match="threshold"):
+            ex.sample_truncated_tail(mu0, sigma0, gamma, rng, size=2)
+

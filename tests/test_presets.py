@@ -48,6 +48,12 @@ class TestPresetCatalog:
     def test_builders_return_fresh_instances(self):
         assert ex.preset_model("table1") is not ex.preset_model("table1")
 
+    def test_model_is_built_from_the_preset_text(self, monkeypatch):
+        assert ex.PRESETS["table4"]["model"] == {
+            "kernel": "exponential:ell=4", "domain": "0,1;0,1", "mean": "linear:0.1,0.1"}
+        monkeypatch.setitem(ex.PRESETS["table1"]["model"], "domain", "0,0.5")
+        assert ex.preset_model("table1").domain.measure == pytest.approx(0.5)
+
 
 class TestExtremeLevels:
     def test_estimator_stays_accurate_far_beyond_published_range(self):

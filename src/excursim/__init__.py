@@ -9,7 +9,6 @@ from .design import (
     DesignDensity,
     DesignDraw,
     alpha_hat,
-    choose_m,
     cluster_scale,
     mes_hat,
     sample_design_points,

@@ -9,8 +9,10 @@ estimate                     custom model given kernel/domain/mean specs
 
 An :class:`ExperimentConfig` decides every row.  Configs are flat
 ``key = value`` text files; command-line flags override file or preset values,
-and both are parsed by the one key table ``_KEYS``.  A run takes exactly one
-of m and eps, and a preset's m counts.  An excursion-integral row's true value is
+and both are parsed by the one key table ``_KEYS``.  Every run takes the m
+(design points) and n (replicates) it is given: a preset and ``pickands`` set
+their own m, and a ``table`` or ``estimate`` run left without one exits 2
+before any replicate is drawn.  An excursion-integral row's true value is
 always the quadrature oracle; a sup-tail row has one only when its preset
 names it.  Output is CSV (or a gnuplot-friendly variant) written to
 --out and echoed to stdout.  Runs are byte-reproducible for a fixed seed and
@@ -26,6 +28,7 @@ import hashlib
 import io
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 
@@ -66,7 +69,6 @@ class ExperimentConfig:
     b: tuple = (3.0, 4.0, 5.0, 6.0, 7.0, 8.0)
     n: int = 1000
     m: int | None = None
-    eps: float | None = None
     seed: int = 0
     dof: int | None = None
     scale: float | None = None
@@ -82,8 +84,6 @@ class ExperimentConfig:
             raise ConfigurationError("n must be at least 2")
         if self.m is not None and self.m < 1:
             raise ConfigurationError("m must be positive")
-        if self.eps is not None and not 0.0 < self.eps <= 1.0:
-            raise ConfigurationError("eps must lie in (0, 1]")
         if self.seed < 0:
             raise ConfigurationError("seed must be non-negative")
         if not self.b or any(v <= 1.0 for v in self.b):
@@ -105,8 +105,8 @@ class ExperimentConfig:
         semantic = {
             "experiment": self.experiment, "kernel": self.kernel,
             "domain": self.domain, "mean": self.mean, "alpha": self.alpha,
-            "b": list(self.b), "n": self.n, "m": self.m, "eps": self.eps,
-            "seed": self.seed, "dof": self.dof, "scale": self.scale,
+            "b": list(self.b), "n": self.n, "m": self.m, "seed": self.seed,
+            "dof": self.dof, "scale": self.scale,
             "targets": list(self.targets),
         }
         canonical = ";".join(f"{k}={semantic[k]!r}" for k in sorted(semantic))
@@ -129,7 +129,7 @@ def _switch(text: str) -> bool:
 _KEYS = {
     "experiment": str, "kernel": str, "domain": str, "mean": str,
     "b": lambda text: tuple(float(part) for part in _parts(text)),
-    "n": int, "m": int, "eps": float, "seed": int, "dof": int, "scale": float,
+    "n": int, "m": int, "seed": int, "dof": int, "scale": float,
     "targets": lambda text: tuple(_parts(text)),
     "out": str, "workers": int, "format": str,
     "timing": _switch,
@@ -266,8 +266,23 @@ def _true_value(config: ExperimentConfig, model: FieldModel, target: str,
     return None
 
 
+def _warning(report: EstimateReport) -> str | None:
+    """Why a row's est cannot be read as it stands, or None."""
+    if report.log_estimate == -math.inf:
+        return "no replicate hit the level, so est 0.0 is no estimate"
+    if report.estimate == 0.0:
+        # the CSV carries the linear estimate, which underflows above b~38
+        return f"est underflows to 0.0; log10(est) = {report.log_estimate / math.log(10.0):.4f}"
+    if report.target == "sup_tail" and report.estimate > 1.0:
+        return f"est {report.estimate:.4g} exceeds 1, so it is no probability"
+    return None
+
+
 def run_table(config: ExperimentConfig) -> list[dict]:
     """One row per (level, target), in level order."""
+    if config.m is None:
+        raise ConfigurationError("runs need m, the design points per replicate: "
+                                 "give --m or an m key")
     model = config_model(config)
     density = config_density(config, model)
     rows = []
@@ -275,19 +290,16 @@ def run_table(config: ExperimentConfig) -> list[dict]:
         seed_key = (config.seed, idx)
         if "excursion_integral" in config.targets:
             tail, integral = estimate_tail_and_excursion(
-                model, b, config.n, config.m, eps=config.eps, density=density,
-                seed=seed_key, workers=config.workers)
+                model, b, config.n, config.m, density=density, seed=seed_key,
+                workers=config.workers)
             reports = [rep for rep in (tail, integral) if rep.target in config.targets]
         else:
-            reports = [estimate_tail(model, b, config.n, config.m, eps=config.eps,
-                                     density=density, seed=seed_key,
-                                     workers=config.workers)]
+            reports = [estimate_tail(model, b, config.n, config.m, density=density,
+                                     seed=seed_key, workers=config.workers)]
         for report in reports:
-            if report.estimate == 0.0 and math.isfinite(report.log_estimate):
-                # the CSV carries the linear estimate, which underflows above b~38
-                print(f"warning: b={b:g} {report.target}: est underflows to 0.0; "
-                      f"log10(est) = {report.log_estimate / math.log(10.0):.4f}",
-                      file=sys.stderr)
+            warning = _warning(report)
+            if warning is not None:
+                print(f"warning: b={b:g} {report.target}: {warning}", file=sys.stderr)
             rows.append(_row(config, report, _true_value(config, model, report.target, b)))
     return rows
 
@@ -296,13 +308,10 @@ def run_pickands(config: ExperimentConfig) -> list[dict]:
     """Rows of (alpha, b, H estimate, std err) across the requested levels."""
     if config.alpha is None:
         raise ConfigurationError("pickands runs need alpha in (0, 2]")
-    if config.eps is not None:
-        raise ConfigurationError("pickands runs take --m, not --eps")
-    m = config.m if config.m is not None else 20
     density = config_density(config, _pickands_model(config.alpha))
     rows = []
     for idx, b in enumerate(config.b):
-        report = estimate_pickands(config.alpha, b, config.n, m, density=density,
+        report = estimate_pickands(config.alpha, b, config.n, config.m, density=density,
                                    seed=(config.seed, idx), workers=config.workers)
         rows.append(_row(config, report, None, extra={"alpha": f"{config.alpha:g}"}))
     return rows
@@ -340,9 +349,8 @@ def emit(text: str, out_path: str | None):
 def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--seed", help="base seed for replicate streams")
     parser.add_argument("--n", help="replicates per level")
-    parser.add_argument("--m", help="design points per replicate (a preset sets its own)")
-    parser.add_argument("--eps", help="target relative bias, which sets m; "
-                                      "an error when --m or a preset sets m")
+    parser.add_argument("--m", help="design points per replicate; required unless a "
+                                    "preset sets it (pickands: 20)")
     parser.add_argument("--out", help="CSV output path (also echoed to stdout)")
     parser.add_argument("--workers",
                         help="worker threads, each taking whole replicate blocks (default 1)")
@@ -385,6 +393,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also estimate the expected excursion volume (integrand 1)")
     _add_common(p_est)
 
+    # Python <= 3.12 reads only -N and -N.N as negative numbers and takes any
+    # other word that starts with '-' for a flag, so ``--domain -1,1`` and
+    # ``--mean -1e3`` lost their value; this is Python 3.13's rule: a dash,
+    # an optional dot, then a digit
+    for subparser in (p_table, p_pick, p_est):
+        subparser._negative_number_matcher = re.compile(r"-\.?\d")
+
     return parser
 
 
@@ -396,7 +411,7 @@ def main(argv=None) -> int:
             config = table_config(flags.pop("source"), flags)
             rows = run_table(config)
         elif command == "pickands":
-            config = build_config({"b": (6.0, 7.0, 8.0), "n": 1000}, flags)
+            config = build_config({"b": (6.0, 7.0, 8.0), "n": 1000, "m": 20}, flags)
             rows = run_pickands(config)
         else:
             base = {"targets": TARGETS} if flags.pop("with_excursion", False) else {}

@@ -21,7 +21,6 @@ from .field import BoxDomain, FieldModel, as_points
 
 __all__ = [
     "cluster_scale",
-    "choose_m",
     "DesignDensity",
     "DesignDraw",
     "sample_design_block",
@@ -50,21 +49,6 @@ def cluster_scale(model: FieldModel, b: float) -> float:
     if not rp.constant_std:
         zeta = max(zeta, b ** (2.0 / rp.alpha2) * rp.c2 ** (1.0 / rp.alpha2))
     return zeta
-
-
-def choose_m(eps: float, model: FieldModel) -> int:
-    """Design size m = ceil(eps**-(d (2/min(alpha1, alpha2) + 2/beta1))).
-
-    The rate that keeps the relative discretization bias of order eps, with
-    constant 1; fixed-m overrides are the usual choice in practice.
-    """
-    if not 0.0 < eps <= 1.0:
-        raise ValueError("eps must lie in (0, 1]")
-    rp = model.regularity
-    if rp is None:
-        raise ConfigurationError("model has no regularity parameters; supply them explicitly")
-    exponent = model.dimension * (2.0 / rp.alpha_min + 2.0 / rp.beta1)
-    return int(math.ceil(eps ** (-exponent)))
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,6 @@ from .design import (
     DesignDensity,
     DesignDraw,
     alpha_hat_block,
-    choose_m,
     cluster_scale,
     mes_hat_block,
     sample_design_block,
@@ -328,9 +327,6 @@ class EstimateReport:
     log_std_err: float = -math.inf
     wall_time_s: float | None = None
     errored: int = 0
-    epsilon: float | None = None
-    delta: float | None = None
-    n_required: float | None = None
 
     @property
     def rel_std_err(self) -> float:
@@ -359,20 +355,13 @@ def _scaled_by_max(log_values: np.ndarray) -> tuple[np.ndarray, float]:
     return np.exp(log_values - top), top
 
 
-def aggregate(*, log_values, target: str = "mean", epsilon: float | None = None,
-              delta: float | None = None, **meta) -> EstimateReport:
+def aggregate(*, log_values, target: str = "mean", **meta) -> EstimateReport:
     """Sample mean and standard error of replicate values, from their logs.
 
     One compensated pass over the values scaled by the largest gives the
     linear figures (``estimate``, ``std_err``) and the log figures
     (``log_estimate``, ``log_std_err``); the log figures stay finite at
     levels where the values and the linear figures underflow to zero.
-
-    When (epsilon, delta) are given, also reports the Chebyshev replicate
-    count  n_required = Var / (delta * epsilon^2 * mean^2)  needed for
-    P(|estimate - truth| < epsilon * truth) > 1 - delta, using the empirical
-    variance in place of the unknown true one; it does not change under the
-    scaling, so it too stays finite where the values underflow.
     """
     logs = np.asarray(log_values, dtype=float)
     n = logs.size
@@ -380,24 +369,18 @@ def aggregate(*, log_values, target: str = "mean", epsilon: float | None = None,
         raise InsufficientReplicatesError("need at least two replicate values")
     scaled, top = _scaled_by_max(logs)
     mean, var = _mean_and_variance(scaled)
-    n_required = None
-    if epsilon is not None and delta is not None:
-        if not (0.0 < epsilon and 0.0 < delta < 1.0):
-            raise ValueError("need epsilon > 0 and delta in (0, 1)")
-        n_required = var / (delta * epsilon ** 2 * mean ** 2) if mean > 0 else math.inf
     unit = math.exp(top)
     return EstimateReport(
         target=target, estimate=unit * mean, std_err=unit * math.sqrt(var / n), n=n,
         log_estimate=top + math.log(mean) if mean > 0 else -math.inf,
-        log_std_err=top + 0.5 * math.log(var / n) if var > 0 else -math.inf,
-        epsilon=epsilon, delta=delta, n_required=n_required, **meta)
+        log_std_err=top + 0.5 * math.log(var / n) if var > 0 else -math.inf, **meta)
 
 
 # ---------------------------------------------------------------------------
 # Top-level drivers
 # ---------------------------------------------------------------------------
 
-def _simulate(model: FieldModel, b: float, n: int, m: int | None, eps: float | None,
+def _simulate(model: FieldModel, b: float, n: int, m: int,
               density: DesignDensity | None, seed, workers: int | None,
               integrand: IntegrandSpec | None) -> tuple[ReplicateArrays, dict]:
     """Build the level's context and run n replicates in blocks.
@@ -405,9 +388,7 @@ def _simulate(model: FieldModel, b: float, n: int, m: int | None, eps: float | N
     Returns the kept replicates and the report fields of the run: b, m,
     seed, the errored count and the wall time of the draws.
     """
-    if (m is None) == (eps is None):
-        raise ConfigurationError("specify exactly one of m and eps")
-    m = int(m) if eps is None else choose_m(eps, model)
+    m = int(m)
     ctx = measure_context(model, b)
     zeta = cluster_scale(model, b)
     if density is None:
@@ -421,18 +402,16 @@ def _simulate(model: FieldModel, b: float, n: int, m: int | None, eps: float | N
                       wall_time_s=time.perf_counter() - start)
 
 
-def estimate_tail(model: FieldModel, b: float, n: int, m: int | None = None, *,
-                  eps: float | None = None, density: DesignDensity | None = None, seed=0,
+def estimate_tail(model: FieldModel, b: float, n: int, m: int, *,
+                  density: DesignDensity | None = None, seed=0,
                   workers: int | None = None) -> EstimateReport:
     """Estimate P(sup_T f > b) from n independent tilted replicates."""
-    kept, run = _simulate(model, b, n, m, eps, density, seed, workers, None)
+    kept, run = _simulate(model, b, n, m, density, seed, workers, None)
     return aggregate(log_values=kept.log_z, target="sup_tail", **run)
 
 
-def estimate_tail_and_excursion(model: FieldModel, b: float, n: int,
-                                m: int | None = None, *,
+def estimate_tail_and_excursion(model: FieldModel, b: float, n: int, m: int, *,
                                 integrand: IntegrandSpec | None = None,
-                                eps: float | None = None,
                                 density: DesignDensity | None = None, seed=0,
                                 workers: int | None = None
                                 ) -> tuple[EstimateReport, EstimateReport]:
@@ -444,16 +423,14 @@ def estimate_tail_and_excursion(model: FieldModel, b: float, n: int,
     """
     if integrand is None:
         integrand = IntegrandSpec.constant(1.0, model)
-    kept, run = _simulate(model, b, n, m, eps, density, seed, workers, integrand)
+    kept, run = _simulate(model, b, n, m, density, seed, workers, integrand)
     return tuple(
         aggregate(log_values=logs, target=target, **run)
         for target, logs in (("sup_tail", kept.log_z), ("excursion_integral", kept.log_y)))
 
 
-def estimate_conditional(model: FieldModel, b: float, n: int,
-                         m: int | None = None, *,
+def estimate_conditional(model: FieldModel, b: float, n: int, m: int, *,
                          integrand: IntegrandSpec | None = None,
-                         eps: float | None = None,
                          density: DesignDensity | None = None, seed=0,
                          workers: int | None = None,
                          ) -> EstimateReport:
@@ -468,7 +445,7 @@ def estimate_conditional(model: FieldModel, b: float, n: int,
     """
     if integrand is None:
         integrand = IntegrandSpec.constant(1.0, model)
-    kept, run = _simulate(model, b, n, m, eps, density, seed, workers, integrand)
+    kept, run = _simulate(model, b, n, m, density, seed, workers, integrand)
     n_ok = kept.ok.size
     if n_ok < 2:
         raise InsufficientReplicatesError("need at least two replicate values")
@@ -521,7 +498,7 @@ def _pickands_model(alpha: float) -> FieldModel:
     return FieldModel(BoxDomain([0.0], [1.0]), PowerExponential(alpha, 1.0))
 
 
-def estimate_pickands(alpha: float, b: float, n: int, m: int = 20, *,
+def estimate_pickands(alpha: float, b: float, n: int, m: int, *,
                       density: DesignDensity | None = None, seed=0,
                       workers: int | None = None) -> EstimateReport:
     """Estimate the tail prefactor from the unit-interval power-exponential
@@ -535,5 +512,5 @@ def estimate_pickands(alpha: float, b: float, n: int, m: int = 20, *,
     stay finite where w(b) underflows.
     """
     log_scale = _log_prefactor_scale(alpha, b)
-    kept, run = _simulate(_pickands_model(alpha), b, n, m, None, density, seed, workers, None)
+    kept, run = _simulate(_pickands_model(alpha), b, n, m, density, seed, workers, None)
     return aggregate(log_values=kept.log_z - log_scale, target="pickands_constant", **run)

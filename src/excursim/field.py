@@ -136,17 +136,14 @@ class RegularityParams:
     """Local regularity of the correlation and standard-deviation functions.
 
     ``alpha1`` and ``c1`` describe the correlation decay near the diagonal,
-    1 - r(s, t) ~ c1 * |s - t|**alpha1, and (beta0, beta1) bound the increments
-    of r.  ``constant_std`` distinguishes unit/constant standard deviation from
-    a profile with a unique maximum, in which case ``alpha2``/``c2`` describe
-    the decay of std near that maximum.  They set ``design.cluster_scale``
-    and ``design.choose_m``.
+    1 - r(s, t) ~ c1 * |s - t|**alpha1.  ``constant_std`` distinguishes
+    unit/constant standard deviation from a profile with a unique maximum, in
+    which case ``alpha2``/``c2`` describe the decay of std near that maximum.
+    They set ``design.cluster_scale``.
     """
 
     alpha1: float
     c1: float
-    beta0: float
-    beta1: float
     constant_std: bool = True
     alpha2: float | None = None
     c2: float | None = None
@@ -156,10 +153,6 @@ class RegularityParams:
             raise ValueError("alpha1 must lie in (0, 2]")
         if self.c1 <= 0.0:
             raise ValueError("c1 must be positive")
-        if self.beta0 < 0.0 or self.beta1 <= 0.0:
-            raise ValueError("need beta0 >= 0 and beta1 > 0")
-        if self.beta0 + self.beta1 < self.alpha1:
-            raise ValueError("need beta0 + beta1 >= alpha1")
         if not self.constant_std:
             if self.alpha2 is None or self.c2 is None:
                 raise ValueError("non-constant std requires alpha2 and c2")
@@ -167,13 +160,6 @@ class RegularityParams:
                 raise ValueError("alpha2 must lie in (0, 1]")
             if self.c2 <= 0.0:
                 raise ValueError("c2 must be positive")
-
-    @property
-    def alpha_min(self) -> float:
-        """min(alpha1, alpha2), with alpha2 treated as infinite for constant std."""
-        if self.constant_std or self.alpha2 is None:
-            return self.alpha1
-        return min(self.alpha1, self.alpha2)
 
 
 # ---------------------------------------------------------------------------
@@ -246,14 +232,8 @@ class PowerExponential:
 
     @property
     def regularity(self) -> RegularityParams:
-        a = self.shape
-        # 1 - r ~ (|h|/ell)^a; increments admit beta0 = a-1, beta1 = 1 when
-        # a >= 1 and beta0 = 0, beta1 = a otherwise.
-        if a >= 1.0:
-            beta0, beta1 = a - 1.0, 1.0
-        else:
-            beta0, beta1 = 0.0, a
-        return RegularityParams(alpha1=a, c1=self.ell ** (-a), beta0=beta0, beta1=beta1)
+        # 1 - r ~ (|h|/ell)**shape
+        return RegularityParams(alpha1=self.shape, c1=self.ell ** (-self.shape))
 
     def __repr__(self):
         return f"PowerExponential(shape={self.shape}, ell={self.ell})"
@@ -296,7 +276,7 @@ class CosineProcess:
     @property
     def regularity(self) -> RegularityParams:
         # 1 - cos(h) ~ h^2 / 2
-        return RegularityParams(alpha1=2.0, c1=0.5, beta0=1.0, beta1=1.0)
+        return RegularityParams(alpha1=2.0, c1=0.5)
 
     def __repr__(self):
         return "CosineProcess()"

@@ -30,6 +30,10 @@ def parse_csv(text):
     return rows
 
 
+def no_replicates(*args, **kwargs):
+    raise AssertionError("a replicate ran")
+
+
 class TestSpecParsers:
     def test_kernel_specs(self):
         assert isinstance(parse_kernel("cosine"), ex.CosineProcess)
@@ -273,13 +277,6 @@ class TestTableCommand:
             assert float(rows[idx]["true_value"]) == pytest.approx(
                 ex.cosine_truth(b), rel=1e-10)
 
-    def test_eps_flag_sets_design_size(self, capsys):
-        code, out = run_cli(["estimate", "--kernel", "cosine", "--domain", "0,0.75",
-                             "--b", "3", "--n", "50", "--eps", "0.5"], capsys)
-        assert code == 0
-        model = ex.preset_model("table1")
-        assert int(parse_csv(out)[0]["m"]) == ex.choose_m(0.5, model)
-
 
 class TestEstimateCommand:
     def test_custom_cosine_run(self, capsys):
@@ -312,6 +309,35 @@ class TestEstimateCommand:
         log10_est = float(lines[0].rsplit("=", 1)[1])
         # log10 of the Rice tail at b=40 (lambda2 = 2, T = 1): about -348.04
         assert -349.0 < log10_est < -347.0
+
+    @pytest.mark.parametrize("model_args, row, warning", [
+        (["--domain", "0,1", "--mean", "-20", "--b", "4", "--n", "100"],
+         "4,sup_tail,,0.0000000000e+00,0.0000000000e+00,100,20,0,,0",
+         "no replicate hit the level, so est 0.0 is no estimate"),
+        (["--domain", "0,1e6", "--b", "4", "--n", "200"],
+         "4,sup_tail,,8.1516359160e+01,5.3348161124e+00,200,20,0,,0",
+         "est 81.52 exceeds 1, so it is no probability"),
+    ], ids=["every-replicate-missed", "tail-above-one"])
+    def test_estimate_that_cannot_be_right_warns_on_stderr(self, capsys, model_args, row,
+                                                           warning):
+        # the warning goes to stderr; the row keeps its bytes, digest aside
+        code = main(["estimate", "--kernel", "sqexp", *model_args, "--m", "20"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == f"warning: b=4 sup_tail: {warning}\n"
+        header, line = captured.out.splitlines()
+        assert header == ",".join(TABLE_COLUMNS)
+        assert line.rsplit(",", 2)[0] == row
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--domain", "-1,0"), ("--mean", "-1e3"), ("--mean", "-0.5")])
+    def test_flag_value_with_a_leading_minus(self, capsys, flag, value):
+        args = {"--kernel": "sqexp", "--domain": "0,1", "--b": "4", "--n": "20",
+                "--m": "20", flag: value}
+        argv = ["estimate", *(word for pair in args.items() for word in pair)]
+        assert vars(cli.build_parser().parse_args(argv))[flag[2:]] == value
+        code, out = run_cli(argv, capsys)
+        assert code == 0 and parse_csv(out)[0]["n"] == "20"
 
     def test_worker_count_does_not_change_bytes_at_inside_only_draws(self, capsys):
         # at m >= 256 blocks of 16 draw the field at the inside points only,
@@ -362,27 +388,39 @@ class TestRejectedInputs:
         code, out = run_cli(["table", str(path)], capsys)
         assert code == 2 and out == ""
 
-    @pytest.mark.parametrize("args", [
-        pytest.param(["table", "table1", "--b", "3", "--n", "50"], id="preset-m"),
-        pytest.param(["estimate", "--kernel", "sqexp", "--domain", "0,1", "--b", "3",
-                      "--n", "50", "--m", "20"], id="flag-m")])
-    def test_eps_where_m_is_set(self, capsys, args):
-        # --eps would otherwise be ignored in favour of the m already set
-        code = main(args + ["--eps", "0.5"])
-        captured = capsys.readouterr()
-        assert code == 2 and captured.out == ""
-        assert captured.err == "error: specify exactly one of m and eps\n"
-
     def test_flag_value_that_does_not_parse(self, capsys):
         code = main(["table", "table1", "--n", "many"])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err == "error: invalid value for n: 'many'\n"
 
-    def test_pickands_eps(self, capsys):
-        code, out = run_cli(["pickands", "--alpha", "2", "--b", "6", "--n", "50",
-                             "--eps", "0.5"], capsys)
-        assert code == 2 and out == ""
+    def test_estimate_without_m(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "estimate_tail", no_replicates)
+        code = main(["estimate", "--kernel", "sqexp", "--domain", "0,1", "--b", "4",
+                     "--n", "50"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == ("error: runs need m, the design points per replicate: "
+                                "give --m or an m key\n")
+
+    def test_eps_key_in_config_file(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(cli, "estimate_tail", no_replicates)
+        path = tmp_path / "run.cfg"
+        path.write_text("kernel = sqexp\ndomain = 0,1\nb = 3\nn = 50\neps = 0.5\n")
+        code = main(["table", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: {path}:5: unknown key 'eps'\n"
+
+    def test_eps_flag(self, capsys, monkeypatch):
+        # --eps is no flag: argparse exits 2 before any model is built
+        monkeypatch.setattr(cli, "estimate_tail", no_replicates)
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", "--kernel", "sqexp", "--domain", "0,1;0,1", "--b", "4",
+                  "--n", "50", "--eps", "0.1"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert "unrecognized arguments: --eps 0.1" in captured.err
 
     @pytest.mark.parametrize("model_args, message", [
         (["--kernel", "cosine", "--domain", "0,1;0,1"],
@@ -413,9 +451,6 @@ class TestRejectedInputs:
             "linear-nan"])
     def test_non_finite_input_exits_2_before_any_replicate(self, capsys, monkeypatch,
                                                            flag, value, message):
-        def no_replicates(*args, **kwargs):
-            raise AssertionError("a replicate ran")
-
         monkeypatch.setattr(cli, "estimate_tail", no_replicates)
         args = {"--kernel": "sqexp", "--domain": "0,1", "--b": "4", "--n": "50",
                 "--m": "20", flag: value}

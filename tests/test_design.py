@@ -26,8 +26,8 @@ class TestClusterScale:
     def test_nonconstant_std_contributes_second_scale(self):
         # zeta1 = 3 from the correlation; zeta2 = c2 * 9 from the std profile
         def model(c2):
-            reg = ex.RegularityParams(alpha1=2.0, c1=1.0, beta0=1.0, beta1=1.0,
-                                      constant_std=False, alpha2=1.0, c2=c2)
+            reg = ex.RegularityParams(alpha1=2.0, c1=1.0, constant_std=False,
+                                      alpha2=1.0, c2=c2)
             return ex.FieldModel(ex.BoxDomain([0.0], [1.0]), ex.SquaredExponential(),
                                  std=lambda p: 1.0 + 0.0 * p[:, 0], regularity=reg)
 
@@ -43,20 +43,6 @@ class TestClusterScale:
                               lambda a, b: np.ones((a.shape[0], b.shape[0])))
         with pytest.raises(ConfigurationError):
             ex.cluster_scale(model, 3.0)
-
-
-class TestChooseM:
-    def test_two_dimensional_example(self, smooth_model):
-        assert ex.choose_m(0.5, smooth_model) == 64  # ceil(0.5^-6)
-
-    def test_one_dimensional_example(self):
-        model = ex.FieldModel(ex.BoxDomain([0.0], [1.0]), ex.SquaredExponential())
-        assert ex.choose_m(0.5, model) == 8  # ceil(0.5^-3)
-
-    def test_invalid_eps(self, smooth_model):
-        for eps in (0.0, -0.1, 1.5):
-            with pytest.raises(ValueError):
-                ex.choose_m(eps, smooth_model)
 
 
 class TestDesignDensity:

@@ -181,12 +181,6 @@ class TestAggregate:
         with pytest.raises(TypeError):
             ex.aggregate([0.5, 1.5])
 
-    def test_chebyshev_replicate_count(self):
-        values = [0.5, 1.5, 0.5, 1.5]
-        report = ex.aggregate(log_values=np.log(values), epsilon=0.1, delta=0.05)
-        var = np.var(values, ddof=1)
-        assert report.n_required == pytest.approx(var / (0.05 * 0.1 ** 2 * 1.0 ** 2))
-
     def test_log_estimate(self):
         report = ex.aggregate(log_values=np.log([1e-10, 3e-10]))
         assert report.log_estimate == pytest.approx(math.log(2e-10))
@@ -209,18 +203,16 @@ class TestAggregate:
         # the linear figures underflow to zero and the log figures do not
         logs = -np.random.default_rng(1618).integers(0, 64, 500) / 8.0
         logs[0] = 0.0
-        base = ex.aggregate(log_values=logs, epsilon=0.1, delta=0.05)
-        shifted = ex.aggregate(log_values=logs - 800.0, epsilon=0.1, delta=0.05)
+        base = ex.aggregate(log_values=logs)
+        shifted = ex.aggregate(log_values=logs - 800.0)
         assert shifted.log_estimate == base.log_estimate - 800.0
         assert shifted.log_std_err == base.log_std_err - 800.0
         assert shifted.estimate == 0.0 and shifted.std_err == 0.0
-        assert shifted.n_required == base.n_required
 
     def test_all_misses(self):
-        report = ex.aggregate(log_values=np.full(4, -np.inf), epsilon=0.1, delta=0.05)
+        report = ex.aggregate(log_values=np.full(4, -np.inf))
         assert (report.estimate, report.std_err) == (0.0, 0.0)
         assert report.log_estimate == -np.inf and report.log_std_err == -np.inf
-        assert report.n_required == math.inf
 
 
 class TestEstimateTail:
@@ -240,17 +232,10 @@ class TestEstimateTail:
         assert abs(report.estimate - truth) < 4.0 * report.std_err
         assert 3.4e-8 / 2.5 < report.std_err < 3.4e-8 * 2.5
 
-    def test_m_from_eps_when_not_given(self, cosine_model):
-        report = ex.estimate_tail(cosine_model, 3.0, 50, eps=0.5, seed=1)
-        assert report.m == ex.choose_m(0.5, cosine_model)
-
     def test_missing_m_and_eps_rejected(self, cosine_model):
-        with pytest.raises(ConfigurationError):
+        # m is a required argument; there is no eps to size a run by
+        with pytest.raises(TypeError, match="'m'"):
             ex.estimate_tail(cosine_model, 3.0, 50)
-
-    def test_both_m_and_eps_rejected(self, cosine_model):
-        with pytest.raises(ConfigurationError, match="exactly one of m and eps"):
-            ex.estimate_tail(cosine_model, 3.0, 50, m=40, eps=0.5)
 
     def test_deterministic_in_seed_and_workers(self, cosine_model):
         # m = 64 gives blocks of 31, so n = 300 spans ten blocks and the
@@ -718,7 +703,7 @@ class TestPickands:
         with pytest.raises(ConfigurationError):
             ex.pickands_estimate(0.0, 8.0, 1e-13)
         with pytest.raises(ConfigurationError):
-            ex.estimate_pickands(2.5, 6.0, 10)
+            ex.estimate_pickands(2.5, 6.0, 10, 20)
 
     def test_estimator_smoke(self):
         report = ex.estimate_pickands(2.0, 6.0, 400, 20, seed=31)

@@ -45,21 +45,16 @@ class TestBoxDomain:
 # ---------------------------------------------------------------------------
 
 class TestRegularityParams:
-    def test_holder_budget_enforced(self):
-        with pytest.raises(ValueError):
-            ex.RegularityParams(alpha1=2.0, c1=1.0, beta0=0.5, beta1=1.0)
-
     def test_type2_needs_profile_constants(self):
         with pytest.raises(ValueError):
-            ex.RegularityParams(alpha1=1.0, c1=1.0, beta0=0.0, beta1=1.0,
-                                constant_std=False)
+            ex.RegularityParams(alpha1=1.0, c1=1.0, constant_std=False)
 
     def test_builtin_kernels_carry_correct_params(self):
         sq = ex.SquaredExponential(1.0).regularity
-        assert (sq.alpha1, sq.beta0, sq.beta1) == (2.0, 1.0, 1.0)
+        assert sq.alpha1 == 2.0
         assert sq.c1 == pytest.approx(1.0)
         exp = ex.Exponential(4.0).regularity
-        assert (exp.alpha1, exp.beta0, exp.beta1) == (1.0, 0.0, 1.0)
+        assert exp.alpha1 == 1.0
         assert exp.c1 == pytest.approx(0.25)
         cos = ex.CosineProcess().regularity
         assert cos.alpha1 == 2.0 and cos.c1 == pytest.approx(0.5)
